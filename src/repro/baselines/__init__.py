@@ -13,8 +13,9 @@
 Each shared-array baseline has (a) a sequential *tracked-counter* run —
 the paper's evaluation protocol (§V-B: one counter per user, updated on
 that user's arrivals, O(m) per edge) — and (b) a Spark batch end-state
-estimator (shared array reduced in Spark, per-user estimates via
-``mapInPandas`` over a broadcast array).
+estimator (per-task arrays from one ``mapInPandas`` pass over the edges,
+reduced on the driver; per-user estimates via blocked ``mapInPandas``
+reads of the broadcast array, :mod:`repro.baselines.virtual`).
 """
 from repro.baselines.estimators import alpha, linear_counting
 from repro.baselines.lpc import LpcPerUser

@@ -17,9 +17,10 @@ Two layers:
 
 * :class:`CseSketch` — sequential tracked-counter run (the paper's
   evaluation protocol; O(m) per edge re-estimating the arriving user).
-* :func:`cse_spark` — Spark batch: the final array state is a distinct
-  aggregation; per-user end-state estimates are a ``mapInPandas`` over
-  users with the (small) bit array broadcast to executors.
+* :func:`cse_spark` — Spark batch: the final array state is the OR of
+  per-task bit arrays built in one Python pass over the edges;
+  per-user end-state estimates are blocked ``mapInPandas`` reads of the
+  broadcast array (:mod:`repro.baselines.virtual`).
 """
 from __future__ import annotations
 
@@ -29,10 +30,23 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
+from repro.baselines.virtual import virtual_estimates_spark
 from repro.hashing import f_user, h_item
+from repro.spark_passes import map_edges
+
+
+# set bits in each byte value 0..255
+_ONES_PER_BYTE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8
+)
+
+
+def cse_estimate(M: int, m: int, virtual_zeros: int, U: int) -> float:
+    """CSE estimate from a virtual zero count and the global zero count U."""
+    first = -m * math.log(max(virtual_zeros, 1) / m)
+    noise = -m * math.log(max(U, 1) / M)
+    return max(0.0, first - noise)
 
 
 class CseSketch:
@@ -67,12 +81,7 @@ class CseSketch:
         """End-state CSE estimate for user s from the current array."""
         idx = self._user_idx(s)
         virtual_zeros = int(self.m - self.A[idx].sum())
-        return self._formula(virtual_zeros)
-
-    def _formula(self, virtual_zeros: int) -> float:
-        first = -self.m * math.log(max(virtual_zeros, 1) / self.m)
-        noise = -self.m * math.log(max(self.U, 1) / self.M)
-        return max(0.0, first - noise)
+        return cse_estimate(self.M, self.m, virtual_zeros, self.U)
 
     def update(self, s: int, pos: int) -> None:
         """Set bit ``pos`` (= ``f_{h(d)}(s)``) and refresh s's counter."""
@@ -119,44 +128,29 @@ def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
     """CSE on Spark: end-of-stream estimates ``(user, estimate)``.
 
     The final array state is order-independent (a union of set bits), so
-    it distributes cleanly: hash every edge to its bit position, take
-    the distinct positions, pack them into an M-bit bitmap on the
-    driver, broadcast it, and evaluate every user's virtual sketch in a
-    vectorized ``mapInPandas`` pass.
+    it distributes cleanly: one Python pass over the edges (one task per
+    core slot) sets each task's bits in a local M-bit array, the driver
+    ORs the packed arrays, and every user's virtual sketch is read
+    straight from the packed result (:func:`virtual_estimates_spark`).
+    A virtual zero count maps to its estimate through a table of
+    :func:`cse_estimate` over ``0..m``, so the result equals the
+    sequential sketch's exactly.
     """
 
-    @F.pandas_udf(LongType())
-    def pos_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        i = h_item(item.to_numpy(), m, seed=seed)
-        return pd.Series(f_user(user.to_numpy(), i, M, seed=seed))
+    def set_bits(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
+        A = np.zeros(M, dtype=bool)
+        for users, items in batches:
+            A[f_user(users, h_item(items, m, seed=seed), M, seed=seed)] = True
+        yield pd.DataFrame({"packed": [np.packbits(A).tobytes()]})
 
-    set_bits = (
-        edges.select(pos_udf("user", "item").alias("pos"))
-        .distinct()
-        .toPandas()["pos"]
-        .to_numpy()
-    )
-    A = np.zeros(M, dtype=bool)
-    A[set_bits] = True
-    U = int(M - len(set_bits))
-    noise = -m * math.log(max(U, 1) / M)
-    sc = edges.sparkSession.sparkContext
-    bA = sc.broadcast(np.packbits(A))
+    packed = np.zeros((M + 7) // 8, dtype=np.uint8)
+    for row in map_edges(edges, ("user", "item"), set_bits, "packed binary").collect():
+        packed |= np.frombuffer(row.packed, dtype=np.uint8)
+    U = M - int(_ONES_PER_BYTE[packed].sum(dtype=np.int64))
+    table = np.array([cse_estimate(M, m, z, U) for z in range(m + 1)])
 
-    out_schema = StructType(
-        [StructField("user", LongType()), StructField("estimate", DoubleType())]
-    )
+    def estimate(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        ones = (P[idx >> 3] >> (7 - (idx & 7)).astype(np.uint8)) & 1
+        return table[m - ones.sum(axis=1)]
 
-    def per_user(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        A_local = np.unpackbits(bA.value)[:M].astype(bool)
-        iota = np.arange(m, dtype=np.int64)
-        for pdf in batches:
-            users = pdf["user"].to_numpy()
-            ests = np.empty(len(users), dtype=np.float64)
-            for k, s in enumerate(users):
-                idx = f_user(np.int64(s), iota, M, seed=seed)
-                zeros = max(int(m - A_local[idx].sum()), 1)
-                ests[k] = max(0.0, -m * math.log(zeros / m) - noise)
-            yield pd.DataFrame({"user": users, "estimate": ests})
-
-    return edges.select("user").distinct().mapInPandas(per_user, out_schema)
+    return virtual_estimates_spark(edges, packed, M, m, seed, estimate)

@@ -13,8 +13,10 @@ it falls below ``2.5m`` (paper §III-B-2). Estimates are clamped to
 ``M_bits/w`` registers).
 
 Layers mirror :mod:`repro.baselines.cse`: a sequential tracked-counter
-run (O(m) per edge) and a Spark batch end-state estimator (register
-array reduced with ``max`` per position, broadcast, ``mapInPandas``).
+run (O(m) per edge) and a Spark batch end-state estimator (per-task
+register arrays from one Python pass over the edges, reduced with an
+elementwise max on the driver, broadcast, and read in user blocks by
+:mod:`repro.baselines.virtual`).
 """
 from __future__ import annotations
 
@@ -23,8 +25,6 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.baselines.estimators import (
     alpha,
@@ -32,7 +32,9 @@ from repro.baselines.estimators import (
     linear_counting,
     pow2_neg_table,
 )
+from repro.baselines.virtual import virtual_estimates_spark
 from repro.hashing import f_user, h_item, rho_item
+from repro.spark_passes import map_edges
 
 
 def _vhll_formula(
@@ -56,9 +58,13 @@ def _vhll_formula(
     first = alpha(m) * m * m / virtual_hsum
     if first < 2.5 * m and virtual_zeros > 0:
         first = linear_counting(m, virtual_zeros)
-    total_est = hll_estimate(M, global_hsum, global_zeros)
-    noise = m * total_est / M
+    noise = _vhll_noise(M, m, global_hsum, global_zeros)
     return max(0.0, M / (M - m) * (first - noise))
+
+
+def _vhll_noise(M: int, m: int, global_hsum: float, global_zeros: int) -> float:
+    """Noise term: ``m/M`` times the HLL estimate of the total cardinality."""
+    return m * hll_estimate(M, global_hsum, global_zeros) / M
 
 
 class VhllSketch:
@@ -153,54 +159,40 @@ def vhll_spark(
     """vHLL on Spark: end-of-stream estimates ``(user, estimate)``.
 
     The final register array is order-independent (elementwise max), so
-    it is a ``groupBy(pos).agg(max(rho))`` aggregation; the array is
-    then broadcast and users evaluated vectorized in ``mapInPandas``.
+    one Python pass over the edges (one task per core slot) max-updates
+    a local array per task and the driver takes their elementwise max.
+    Users are then read against the broadcast array
+    (:func:`virtual_estimates_spark`) with a vectorized form of the
+    sequential estimator that gives the same floats: harmonic sums of
+    ``2^-ρ`` values are exact, and linear counting comes from a table of
+    :func:`linear_counting` over ``0..m``.
     """
     cap = (1 << w) - 1
 
-    @F.pandas_udf(LongType())
-    def pos_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        i = h_item(item.to_numpy(), m, seed=seed)
-        return pd.Series(f_user(user.to_numpy(), i, M, seed=seed))
+    def registers(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
+        R = np.zeros(M, dtype=np.uint8)
+        for users, items in batches:
+            pos = f_user(users, h_item(items, m, seed=seed), M, seed=seed)
+            rho = rho_item(items, cap=cap, seed=seed).astype(np.uint8)
+            np.maximum.at(R, pos, rho)
+        yield pd.DataFrame({"R": [R.tobytes()]})
 
-    @F.pandas_udf(LongType())
-    def rho_udf(item: pd.Series) -> pd.Series:
-        return pd.Series(rho_item(item.to_numpy(), cap=cap, seed=seed))
-
-    reg_state = (
-        edges.select(
-            pos_udf("user", "item").alias("pos"), rho_udf("item").alias("rho")
-        )
-        .groupBy("pos")
-        .agg(F.max("rho").alias("r"))
-        .toPandas()
-    )
     R = np.zeros(M, dtype=np.uint8)
-    R[reg_state["pos"].to_numpy()] = reg_state["r"].to_numpy()
+    for row in map_edges(edges, ("user", "item"), registers, "R binary").collect():
+        np.maximum(R, np.frombuffer(row.R, dtype=np.uint8), out=R)
     pow2 = pow2_neg_table(cap)
-    global_hsum = float(pow2[R].sum())
-    global_zeros = int((R == 0).sum())
-    sc = edges.sparkSession.sparkContext
-    bR = sc.broadcast(R)
+    # registers holding each value; bincount would copy R to int64 first
+    counts = np.array([np.count_nonzero(R == v) for v in range(cap + 1)])
+    noise = _vhll_noise(M, m, float(counts @ pow2), int(counts[0]))
+    lc = np.array([linear_counting(m, z) for z in range(m + 1)])
+    first_scale = alpha(m) * m * m
+    blow_up = M / (M - m)
 
-    out_schema = StructType(
-        [StructField("user", LongType()), StructField("estimate", DoubleType())]
-    )
+    def estimate(R: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        cells = R[idx]
+        zeros = (cells == 0).sum(axis=1)
+        first = first_scale / pow2[cells].sum(axis=1)
+        first = np.where((first < 2.5 * m) & (zeros > 0), lc[zeros], first)
+        return np.maximum(0.0, blow_up * (first - noise))
 
-    def per_user(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        R_local = bR.value
-        iota = np.arange(m, dtype=np.int64)
-        for pdf in batches:
-            users = pdf["user"].to_numpy()
-            ests = np.empty(len(users), dtype=np.float64)
-            for k, s in enumerate(users):
-                idx = f_user(np.int64(s), iota, M, seed=seed)
-                vals = R_local[idx]
-                hsum = float(pow2[vals].sum())
-                zeros = int((vals == 0).sum())
-                ests[k] = _vhll_formula(
-                    M, m, hsum, zeros, global_hsum, global_zeros
-                )
-            yield pd.DataFrame({"user": users, "estimate": ests})
-
-    return edges.select("user").distinct().mapInPandas(per_user, out_schema)
+    return virtual_estimates_spark(edges, R, M, m, seed, estimate)

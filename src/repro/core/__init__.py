@@ -6,8 +6,10 @@ Each estimator ships in three layers proven equivalent by the tests:
   over the stream); reference semantics and the runtime benchmark.
 * ``*_trace`` — an exact vectorized (numpy) reformulation via the
   event-rank identity (DESIGN.md §2); used by the evaluation harnesses.
-* ``*_spark`` — the same reformulation expressed in the Spark DataFrame
-  API (windows + pandas UDFs), the distributed implementation.
+* ``*_spark`` — the same reformulation in the Spark DataFrame API, the
+  distributed implementation: one ``mapInPandas`` hash pass with one
+  task per core slot, a JVM dedupe, and one ordered task over the
+  events that runs the numpy kernel (DESIGN.md §2).
 """
 from repro.core.freebs import (
     freebs_sequential,

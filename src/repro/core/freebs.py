@@ -9,7 +9,13 @@ Exact distributed reformulation (DESIGN.md §2): a bit flips exactly
 once — at the earliest arrival hashing to it — and if flip events are
 ranked ``k = 1, 2, …`` by arrival time, the k-th flip sees
 ``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``. All
-three implementations below compute exactly this.
+three implementations below compute exactly this; the numpy and Spark
+ones share the :func:`flip_contrib` kernel.
+
+On Spark, Python hashes the edges in one pass with one task per core
+slot, a JVM ``groupBy(bit)`` keeps each bit's earliest arrival, and one
+ordered task ranks those flip events and sums them per user
+(:mod:`repro.spark_passes`).
 
 The *trace* of a run is the DataFrame of accepted (bit-flipping) events
 ``(t, user, contrib)`` sorted by ``t``; a user's estimate at any time T
@@ -18,13 +24,15 @@ the anytime-available evaluation (Fig. 6) a cumulative sum.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType
 
 from repro.hashing import h_star
+from repro.spark_passes import first_arrival, map_edges, ordered_pass
 
 
 def freebs_sequential(
@@ -52,6 +60,16 @@ def freebs_sequential(
     )
 
 
+def flip_contrib(n_events: int, M: int) -> np.ndarray:
+    """Contributions of the first ``n_events`` flips: ``M/m0``.
+
+    Flip ``k`` (1-based) sees ``m0 = M-k+1`` zero bits; integer-valued
+    floats, so the quotient equals ``M/(M-k+1)`` evaluated any other way.
+    """
+    m0 = np.arange(M, M - n_events, -1, dtype=np.float64)
+    return np.divide(M, m0, out=m0)
+
+
 def freebs_trace(
     users: np.ndarray, items: np.ndarray, M: int, seed: int = 0
 ) -> pd.DataFrame:
@@ -66,10 +84,12 @@ def freebs_trace(
     # earliest arrival per distinct bit = flip event
     _, first_idx = np.unique(bits, return_index=True)
     first_idx.sort()  # events in arrival order
-    k = np.arange(1, len(first_idx) + 1, dtype=np.float64)
-    contrib = M / (M - k + 1.0)
     return pd.DataFrame(
-        {"t": first_idx.astype(np.int64), "user": users[first_idx], "contrib": contrib}
+        {
+            "t": first_idx.astype(np.int64),
+            "user": users[first_idx],
+            "contrib": flip_contrib(len(first_idx), M),
+        }
     )
 
 
@@ -78,40 +98,42 @@ def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
     return trace.groupby("user")["contrib"].sum()
 
 
+def _flip_events(edges: DataFrame, M: int, seed: int) -> DataFrame:
+    """Flip events ``(t, user)``: the earliest arrival at each bit.
+
+    Python only hashes (:func:`map_edges`); the dedupe is a JVM
+    ``groupBy(bit)`` keeping the smallest ``t`` and its user.
+    """
+
+    def bits(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
+        for t, users, items in batches:
+            yield pd.DataFrame(
+                {"t": t, "user": users, "bit": h_star(users, items, M, seed=seed)}
+            )
+
+    return (
+        map_edges(edges, ("t", "user", "item"), bits, "t long, user long, bit long")
+        .groupBy("bit")
+        .agg(*first_arrival())
+        .select("t", "user")
+    )
+
+
 def freebs_spark_trace(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """FreeBS on Spark: trace DataFrame ``(t, user, contrib)``.
 
-    ``edges`` must have columns ``t`` (unique, monotone arrival index),
-    ``user``, ``item``. Dedup-per-bit and the global event rank are
-    window functions; the bit hash is the shared numpy hash via a pandas
-    UDF so the result is identical to the local implementations. The
-    global rank window is single-partition — the exact formulation's
-    scalability boundary, fine at reproduction scale (≤ M rows survive
-    the dedup).
+    ``edges`` must have columns ``t`` (unique arrival index), ``user``,
+    ``item``, none of them null. The flip events are ranked and weighted
+    by :func:`flip_contrib` in one ordered task, the same numpy kernel as
+    :func:`freebs_trace`, so the trace is bit-identical to it. That task
+    sees only events (at most M rows): the exact formulation's
+    scalability boundary.
     """
-
-    @F.pandas_udf(LongType())
-    def bit_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(
-            h_star(user.to_numpy(), item.to_numpy(), M, seed=seed)
-        )
-
-    w_bit = Window.partitionBy("bit").orderBy("t")
-    w_all = Window.orderBy("t")
-    return (
-        edges.withColumn("bit", bit_udf("user", "item"))
-        .withColumn("rn", F.row_number().over(w_bit))
-        .filter(F.col("rn") == 1)
-        .withColumn("k", F.row_number().over(w_all))
-        .withColumn("contrib", F.lit(float(M)) / (F.lit(float(M)) - F.col("k") + 1.0))
-        .select("t", "user", "contrib")
-    )
+    events = _flip_events(edges, M, seed)
+    return ordered_pass(events, lambda ev: flip_contrib(len(ev), M), per_user=False)
 
 
 def freebs_spark(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """FreeBS on Spark: final per-user estimates ``(user, estimate)``."""
-    return (
-        freebs_spark_trace(edges, M, seed=seed)
-        .groupBy("user")
-        .agg(F.sum("contrib").alias("estimate"))
-    )
+    events = _flip_events(edges, M, seed)
+    return ordered_pass(events, lambda ev: flip_contrib(len(ev), M), per_user=True)

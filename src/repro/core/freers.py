@@ -10,20 +10,29 @@ follow the theory). O(1) per edge via incremental maintenance of the
 sum ``S = Σ_j 2^{-R[j]}``.
 
 Exact distributed reformulation (DESIGN.md §2): register-change events
-are running-max records within each register's sub-stream (a window
-partitioned by register); each record perturbs ``S`` by
-``Δ = 2^-ρ − 2^-prev``; a global cumulative sum of Δ in arrival order
-recovers the pre-event ``S`` and hence the contribution ``M/S``.
+are running-max records within each register's sub-stream; each record
+perturbs ``S`` by ``Δ = 2^-ρ − 2^-prev``; a cumulative sum of Δ in
+arrival order recovers the pre-event ``S`` and hence the contribution
+``M/S``. The numpy and Spark implementations share that last step
+(:func:`record_contrib`).
+
+On Spark, Python hashes the edges in one pass with one task per core
+slot, the JVM finds the records (first arrival per register value, then
+a running max per register over those candidates), and one ordered task
+applies :func:`record_contrib` and sums per user
+(:mod:`repro.spark_passes`).
 """
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType
 
 from repro.hashing import h_star, rho_star
+from repro.spark_passes import first_arrival, map_edges, ordered_pass
 
 
 def freers_sequential(
@@ -51,6 +60,17 @@ def freers_sequential(
     return pd.DataFrame(
         {"t": np.array(ts, dtype=np.int64), "user": np.array(us, dtype=np.int64), "contrib": cs}
     )
+
+
+def record_contrib(rho: np.ndarray, prev: np.ndarray, M: int) -> np.ndarray:
+    """Contributions ``M/S_pre`` of records in arrival order.
+
+    Record i moves ``S`` by ``2^-rho[i] - 2^-prev[i]``; ``S_pre`` is
+    ``M`` plus the sum of the earlier moves.
+    """
+    delta = 2.0**-rho.astype(np.float64) - 2.0**-prev.astype(np.float64)
+    s_pre = float(M) + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
+    return M / s_pre
 
 
 def freers_trace(
@@ -91,10 +111,12 @@ def freers_trace(
     by_t = np.argsort(t_rec, kind="stable")
     t_rec, rho_rec, prev_rec = t_rec[by_t], rho_rec[by_t], prev_rec[by_t]
 
-    delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(np.float64)
-    s_pre = float(M) + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
     return pd.DataFrame(
-        {"t": t_rec.astype(np.int64), "user": users[t_rec], "contrib": M / s_pre}
+        {
+            "t": t_rec.astype(np.int64),
+            "user": users[t_rec],
+            "contrib": record_contrib(rho_rec, prev_rec, M),
+        }
     )
 
 
@@ -103,56 +125,66 @@ def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
     return trace.groupby("user")["contrib"].sum()
 
 
+def _record_events(edges: DataFrame, M: int, seed: int, w: int) -> DataFrame:
+    """Register-change events ``(t, user, rho, prev)``.
+
+    Python only hashes (:func:`map_edges`). In the JVM, a register's
+    value ``ρ`` can first appear only at the earliest arrival carrying
+    it, so ``groupBy(reg, rho)`` keeping the smallest ``t`` and its user
+    leaves the candidates (at most ``cap`` per register); a running max
+    over each register's candidates in ``t`` order gives ``prev`` and
+    keeps the records ``ρ > prev``.
+    """
+    cap = (1 << w) - 1
+
+    def ranks(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
+        for t, users, items in batches:
+            yield pd.DataFrame(
+                {
+                    "t": t,
+                    "user": users,
+                    "reg": h_star(users, items, M, seed=seed),
+                    "rho": rho_star(users, items, cap=cap, seed=seed),
+                }
+            )
+
+    before = (
+        Window.partitionBy("reg")
+        .orderBy("t")
+        .rowsBetween(Window.unboundedPreceding, -1)
+    )
+    return (
+        map_edges(
+            edges, ("t", "user", "item"), ranks, "t long, user long, reg long, rho long"
+        )
+        .repartition("reg")  # one shuffle serves both the dedupe and the window
+        .groupBy("reg", "rho")
+        .agg(*first_arrival())
+        .withColumn("prev", F.coalesce(F.max("rho").over(before), F.lit(0)))
+        .filter(F.col("rho") > F.col("prev"))
+        .select("t", "user", "rho", "prev")
+    )
+
+
+def _contrib(M: int):
+    return lambda ev: record_contrib(ev["rho"].to_numpy(), ev["prev"].to_numpy(), M)
+
+
 def freers_spark_trace(
     edges: DataFrame, M: int, seed: int = 0, w: int = 5
 ) -> DataFrame:
     """FreeRS on Spark: trace DataFrame ``(t, user, contrib)``.
 
-    Same window structure as the vectorized form: per-register previous
-    running max (window max over preceding rows), record filter, global
-    running sum of Δ for the pre-event S. The global window is single-
-    partition — exactness boundary, as for FreeBS.
+    Same input contract as :func:`repro.core.freebs.freebs_spark_trace`.
+    One ordered task runs :func:`record_contrib` over the records, the
+    same numpy kernel as :func:`freers_trace`, so the trace is
+    bit-identical to it.
     """
-    cap = (1 << w) - 1
-
-    @F.pandas_udf(LongType())
-    def reg_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(h_star(user.to_numpy(), item.to_numpy(), M, seed=seed))
-
-    @F.pandas_udf(LongType())
-    def rho_udf(user: pd.Series, item: pd.Series) -> pd.Series:
-        return pd.Series(
-            rho_star(user.to_numpy(), item.to_numpy(), cap=cap, seed=seed)
-        )
-
-    w_reg = (
-        Window.partitionBy("reg")
-        .orderBy("t")
-        .rowsBetween(Window.unboundedPreceding, -1)
-    )
-    w_all = Window.orderBy("t").rowsBetween(Window.unboundedPreceding, -1)
-    return (
-        edges.withColumn("reg", reg_udf("user", "item"))
-        .withColumn("rho", rho_udf("user", "item"))
-        .withColumn("prev", F.coalesce(F.max("rho").over(w_reg), F.lit(0)))
-        .filter(F.col("rho") > F.col("prev"))
-        .withColumn(
-            "delta",
-            F.pow(F.lit(2.0), -F.col("rho")) - F.pow(F.lit(2.0), -F.col("prev")),
-        )
-        .withColumn(
-            "s_pre",
-            F.lit(float(M)) + F.coalesce(F.sum("delta").over(w_all), F.lit(0.0)),
-        )
-        .withColumn("contrib", F.lit(float(M)) / F.col("s_pre"))
-        .select("t", "user", "contrib")
-    )
+    events = _record_events(edges, M, seed, w)
+    return ordered_pass(events, _contrib(M), per_user=False)
 
 
 def freers_spark(edges: DataFrame, M: int, seed: int = 0, w: int = 5) -> DataFrame:
     """FreeRS on Spark: final per-user estimates ``(user, estimate)``."""
-    return (
-        freers_spark_trace(edges, M, seed=seed, w=w)
-        .groupBy("user")
-        .agg(F.sum("contrib").alias("estimate"))
-    )
+    events = _record_events(edges, M, seed, w)
+    return ordered_pass(events, _contrib(M), per_user=True)

@@ -3,10 +3,10 @@
 All hash functions in the paper are implemented once here, on top of a
 splitmix64 finalizer, as numpy ``uint64`` vector operations. Both the
 sequential reference implementations and the Spark implementations (via
-pandas UDFs / ``mapInPandas``) call these same functions, so a Spark
-run and a sequential run of the same algorithm produce *bit-identical*
-sketches — which is what lets the test suite assert exact equality
-between the two.
+``mapInPandas``) call these same functions, so a Spark run and a
+sequential run of the same algorithm produce *bit-identical* sketches —
+which is what lets the test suite assert exact equality between the
+two.
 
 Paper-to-function map (notation of §III–IV):
 
