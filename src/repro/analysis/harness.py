@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -33,7 +34,8 @@ from repro.analysis.metrics import (
     truth_at_checkpoints,
 )
 from repro.baselines import CseSketch, HllPerUser, LpcPerUser, VhllSketch
-from repro.core.freebs import freebs_sequential, freebs_trace
+from repro.baselines.estimators import TrackedCounters, user_series
+from repro.core.freebs import estimates_from_trace, freebs_sequential, freebs_trace
 from repro.core.freers import freers_sequential, freers_trace
 
 REGISTER_WIDTH = 5  # w: bits per shared register (paper §V-B)
@@ -47,6 +49,36 @@ TABLE2_METHODS = ("freebs", "freers", "cse", "vhll", "hllpp")  # §V-F set
 def per_user_m(M_bits: int, n_users: int, width: int) -> int:
     """Per-user sketch size under the global budget (floor 4)."""
     return max(4, M_bits // (width * n_users))
+
+
+# FreeBS/FreeRS: (vectorized trace, Algorithm 1/2 loop), each f(users,
+# items, M, seed=)
+FREE_METHODS = {
+    "freebs": (freebs_trace, freebs_sequential),
+    "freers": (
+        partial(freers_trace, w=REGISTER_WIDTH),
+        partial(freers_sequential, w=REGISTER_WIDTH),
+    ),
+}
+# methods sharing M_bits/w registers; the other shared arrays hold M_bits bits
+REGISTER_METHODS = ("freers", "vhll")
+# per-user baselines and their bits per cell; their m is per_user_m in
+# the §V-B protocol
+PER_USER_WIDTH = {"hllpp": HLLPP_WIDTH, "lpc": 1}
+
+
+def make_sketch(method: str, M: int, m: int, seed: int = 0) -> TrackedCounters:
+    """The tracked-counter sketch of a baseline; ``M`` sizes CSE/vHLL's
+    shared array and ``m`` each (virtual) sketch."""
+    makers = {
+        "cse": lambda: CseSketch(M=M, m=m, seed=seed),
+        "vhll": lambda: VhllSketch(M=M, m=m, w=REGISTER_WIDTH, seed=seed),
+        "hllpp": lambda: HllPerUser(m=m, w=HLLPP_WIDTH, seed=seed),
+        "lpc": lambda: LpcPerUser(m=m, seed=seed),
+    }
+    if method not in makers:
+        raise ValueError(f"unknown method {method!r}")
+    return makers[method]()
 
 
 @dataclass
@@ -74,54 +106,21 @@ def run_tracked(
     cps = sorted(checkpoints or [])
     est: dict[str, pd.Series] = {}
     snaps: dict[str, dict[int, pd.Series]] = {}
-
-    def _dict_snaps(d: dict[int, dict[int, float]]) -> dict[int, pd.Series]:
-        return {
-            cp: pd.Series(v, dtype=np.float64).rename_axis("user")
-            for cp, v in d.items()
-        }
-
     for method in methods:
-        if method == "freebs":
-            trace = freebs_trace(users, items, M_bits, seed=seed)
-            est[method] = trace.groupby("user")["contrib"].sum()
+        M = M_regs if method in REGISTER_METHODS else M_bits
+        if method in FREE_METHODS:
+            trace = FREE_METHODS[method][0](users, items, M, seed=seed)
+            est[method] = estimates_from_trace(trace)
             if cps:
                 snaps[method] = estimates_at_checkpoints(trace, cps)
-        elif method == "freers":
-            trace = freers_trace(
-                users, items, M_regs, seed=seed, w=REGISTER_WIDTH
-            )
-            est[method] = trace.groupby("user")["contrib"].sum()
-            if cps:
-                snaps[method] = estimates_at_checkpoints(trace, cps)
-        elif method == "cse":
-            sk = CseSketch(M=M_bits, m=m, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "vhll":
-            sk = VhllSketch(M=M_regs, m=m, w=REGISTER_WIDTH, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "hllpp":
-            mu = per_user_m(M_bits, n_users, HLLPP_WIDTH)
-            sk = HllPerUser(m=mu, w=HLLPP_WIDTH, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        elif method == "lpc":
-            mu = per_user_m(M_bits, n_users, 1)
-            sk = LpcPerUser(m=mu, seed=seed)
-            s = sk.run(users, items, checkpoints=cps)
-            est[method] = sk.final_estimates()
-            if cps:
-                snaps[method] = _dict_snaps(s)
-        else:
-            raise ValueError(f"unknown method {method!r}")
+            continue
+        width = PER_USER_WIDTH.get(method)
+        mu = per_user_m(M_bits, n_users, width) if width else m
+        sk = make_sketch(method, M, mu, seed)
+        s = sk.run(users, items, checkpoints=cps)
+        est[method] = sk.final_estimates()
+        if cps:
+            snaps[method] = {cp: user_series(v) for cp, v in s.items()}
     return TrackedResult(
         estimates=est,
         snapshots=snaps,
@@ -209,21 +208,12 @@ def measure_update_ns(
     FreeBS/FreeRS take no m (their O(1) loop is Algorithm 1/2).
     """
     M_regs = max(m + 1, M_bits // REGISTER_WIDTH)
+    M = M_regs if method in REGISTER_METHODS else M_bits
     start = time.perf_counter()
-    if method == "freebs":
-        freebs_sequential(users, items, M_bits, seed=seed)
-    elif method == "freers":
-        freers_sequential(users, items, M_regs, seed=seed, w=REGISTER_WIDTH)
-    elif method == "cse":
-        CseSketch(M=M_bits, m=m, seed=seed).run(users, items)
-    elif method == "vhll":
-        VhllSketch(M=M_regs, m=m, w=REGISTER_WIDTH, seed=seed).run(users, items)
-    elif method == "hllpp":
-        HllPerUser(m=m, w=HLLPP_WIDTH, seed=seed).run(
-            users, items, enumerate_state=True
-        )
-    elif method == "lpc":
-        LpcPerUser(m=m, seed=seed).run(users, items, enumerate_state=True)
+    if method in FREE_METHODS:
+        FREE_METHODS[method][1](users, items, M, seed=seed)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        make_sketch(method, M, m, seed).run(
+            users, items, enumerate_state=method in PER_USER_WIDTH
+        )
     return (time.perf_counter() - start) / len(users) * 1e9

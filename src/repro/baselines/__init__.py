@@ -10,12 +10,17 @@
 * :mod:`repro.baselines.vhll` — vHLL virtual-HLL register sharing
   [Xiao et al. 2015].
 
-Each shared-array baseline has (a) a sequential *tracked-counter* run —
-the paper's evaluation protocol (§V-B: one counter per user, updated on
-that user's arrivals, O(m) per edge) — and (b) a Spark batch end-state
-estimator (per-task arrays from one ``mapInPandas`` pass over the edges,
-reduced on the driver; per-user estimates via blocked ``mapInPandas``
-reads of the broadcast array, :mod:`repro.baselines.virtual`).
+All four run the paper's evaluation protocol (§V-B: one counter per
+user, updated on that user's arrivals) through one tracked-counter
+``run``/``final_estimates``
+(:class:`~repro.baselines.estimators.TrackedCounters`); each sketch adds
+only its hashing and its per-edge ``update``. CSE and vHLL share the
+virtual-sketch base :class:`~repro.baselines.virtual.VirtualSketch`
+(memoized ``f_1(s)..f_m(s)``, ``end_state_estimates``; O(m) per edge)
+and a Spark batch end-state estimator (per-task arrays from one
+``mapInPandas`` pass over the edges, reduced on the driver; per-user
+estimates via blocked ``mapInPandas`` reads of the broadcast array,
+:mod:`repro.baselines.virtual`).
 """
 from repro.baselines.estimators import alpha, linear_counting
 from repro.baselines.lpc import LpcPerUser

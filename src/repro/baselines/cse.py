@@ -16,7 +16,9 @@ paper shows for large-cardinality users.
 Two layers:
 
 * :class:`CseSketch` — sequential tracked-counter run (the paper's
-  evaluation protocol; O(m) per edge re-estimating the arriving user).
+  evaluation protocol; O(m) per edge re-estimating the arriving user)
+  on the virtual-sketch base shared with vHLL
+  (:class:`~repro.baselines.virtual.VirtualSketch`).
 * :func:`cse_spark` — Spark batch: the final array state is the OR of
   per-task bit arrays built in one Python pass over the edges;
   per-user end-state estimates are blocked ``mapInPandas`` reads of the
@@ -31,8 +33,11 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.baselines.virtual import virtual_estimates_spark
-from repro.hashing import f_user, h_item
+from repro.baselines.virtual import (
+    VirtualSketch,
+    virtual_cells,
+    virtual_estimates_spark,
+)
 from repro.spark_passes import map_edges
 
 
@@ -49,33 +54,15 @@ def cse_estimate(M: int, m: int, virtual_zeros: int, U: int) -> float:
     return max(0.0, first - noise)
 
 
-class CseSketch:
+class CseSketch(VirtualSketch):
     """Shared bit array + per-user tracked counters (sequential)."""
 
     def __init__(self, M: int, m: int, seed: int = 0):
         if not 1 <= m <= M:
             raise ValueError("need 1 <= m <= M")
-        self.M, self.m, self.seed = int(M), int(m), seed
+        super().__init__(M, m, seed)
         self.A = np.zeros(self.M, dtype=bool)
         self.U = self.M  # global zero count
-        self.estimates: dict[int, float] = {}
-        self._iota = np.arange(self.m, dtype=np.int64)
-        # virtual-sketch index cache: recomputing f_1..f_m(s) costs
-        # ~m hash ops per edge; heavy-tail streams revisit the same
-        # users constantly, so memoize (int32, capped ~64 MB)
-        self._idx_cache: dict[int, np.ndarray] = {}
-        self._idx_cache_cap = 16384
-
-    def _user_idx(self, s: int) -> np.ndarray:
-        """Memoized virtual-sketch positions ``f_1(s)..f_m(s)``."""
-        idx = self._idx_cache.get(s)
-        if idx is None:
-            idx = f_user(np.int64(s), self._iota, self.M, seed=self.seed).astype(
-                np.int32
-            )
-            if len(self._idx_cache) < self._idx_cache_cap:
-                self._idx_cache[s] = idx
-        return idx
 
     def estimate(self, s: int) -> float:
         """End-state CSE estimate for user s from the current array."""
@@ -89,39 +76,6 @@ class CseSketch:
             self.A[pos] = True
             self.U -= 1
         self.estimates[s] = self.estimate(s)
-
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        i_of_item = h_item(items, self.m, seed=self.seed)
-        pos = f_user(users, i_of_item, self.M, seed=self.seed)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(int(users[t]), int(pos[t]))
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
-
-    def end_state_estimates(self, users: np.ndarray) -> pd.Series:
-        """Re-estimate the given users against the *final* array."""
-        return pd.Series(
-            {int(s): self.estimate(int(s)) for s in users}, dtype=np.float64
-        ).rename_axis("user")
 
 
 def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
@@ -140,7 +94,7 @@ def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
     def set_bits(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
         A = np.zeros(M, dtype=bool)
         for users, items in batches:
-            A[f_user(users, h_item(items, m, seed=seed), M, seed=seed)] = True
+            A[virtual_cells(users, items, M, m, seed)] = True
         yield pd.DataFrame({"packed": [np.packbits(A).tobytes()]})
 
     packed = np.zeros((M + 7) // 8, dtype=np.uint8)

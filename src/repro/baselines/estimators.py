@@ -1,9 +1,13 @@
-"""Shared estimator arithmetic for the LPC/HLL family (paper §III-A)."""
+"""Shared estimator arithmetic for the LPC/HLL family (paper §III-A),
+and the tracked-counter protocol all four baselines run (§V-B)."""
 from __future__ import annotations
 
 import math
+from functools import partial
+from itertools import islice
 
 import numpy as np
+import pandas as pd
 
 
 def alpha(m: int) -> float:
@@ -47,3 +51,60 @@ def hll_estimate(
 def pow2_neg_table(cap: int) -> np.ndarray:
     """Lookup table ``[2^0, 2^-1, …, 2^-cap]`` for register sums."""
     return 2.0 ** -np.arange(cap + 1, dtype=np.float64)
+
+
+def user_series(estimates: dict[int, float]) -> pd.Series:
+    """Per-user estimates as a float Series (index: user)."""
+    return pd.Series(estimates, dtype=np.float64).rename_axis("user")
+
+
+class TrackedCounters:
+    """Per-user tracked counters (paper §V-B): ``estimates[s]`` is
+    refreshed on every arrival of user s.
+
+    A subclass hashes the edges in :meth:`_hashed` and processes one
+    hashed edge in ``update(s, *hashed)``.
+    """
+
+    def __init__(self) -> None:
+        self.estimates: dict[int, float] = {}
+
+    def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        """Per-edge arguments of ``update`` after the user; override."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        users: np.ndarray,
+        items: np.ndarray,
+        checkpoints: list[int] | None = None,
+        enumerate_state: bool = False,
+    ) -> dict[int, dict[int, float]]:
+        """Stream all edges; return estimate snapshots at checkpoints.
+
+        ``checkpoints`` are arrival indices t; a snapshot holds the
+        tracked counters after edges ``0..t-1``. The final state is
+        always available via ``estimates``. ``enumerate_state`` (per-user
+        LPC/HLL only) makes each update rescan the user's sketch: the
+        O(m)-per-edge loop Fig. 3 times.
+        """
+        update = self.update
+        if enumerate_state:
+            update = partial(update, enumerate_state=True)
+        users = np.asarray(users, dtype=np.int64)
+        cols = [users, *self._hashed(users, np.asarray(items, dtype=np.int64))]
+        edges = zip(*(c.tolist() for c in cols))
+        snaps: dict[int, dict[int, float]] = {}
+        done = 0
+        for cp in sorted(checkpoints or []):
+            for edge in islice(edges, max(cp - done, 0)):
+                update(*edge)
+            done = max(done, cp)
+            snaps[cp] = dict(self.estimates)
+        for edge in edges:
+            update(*edge)
+        return snaps
+
+    def final_estimates(self) -> pd.Series:
+        """Tracked counters as a Series (index: user)."""
+        return user_series(self.estimates)

@@ -16,18 +16,18 @@ measured in Fig. 3.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from repro.baselines.estimators import hll_estimate, pow2_neg_table
+from repro.baselines.estimators import TrackedCounters, hll_estimate, pow2_neg_table
 from repro.hashing import h_item, rho_item
 
 
-class HllPerUser:
+class HllPerUser(TrackedCounters):
     """Dictionary of per-user HLL register arrays with tracked counters."""
 
     def __init__(self, m: int, w: int = 6, seed: int = 0):
         if m < 1:
             raise ValueError("m must be >= 1")
+        super().__init__()
         self.m = int(m)
         self.w = int(w)
         self.cap = (1 << w) - 1
@@ -36,7 +36,6 @@ class HllPerUser:
         self.registers: dict[int, np.ndarray] = {}
         self._hsum: dict[int, float] = {}
         self._zeros: dict[int, int] = {}
-        self.estimates: dict[int, float] = {}
 
     def update(
         self, s: int, idx: int, r: int, *, enumerate_state: bool = False
@@ -61,32 +60,8 @@ class HllPerUser:
             hsum, zeros = self._hsum[s], self._zeros[s]
         self.estimates[s] = hll_estimate(self.m, hsum, zeros)
 
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-        enumerate_state: bool = False,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints."""
-        items = np.asarray(items, dtype=np.int64)
-        users = np.asarray(users, dtype=np.int64)
-        idxs = h_item(items, self.m, seed=self.seed)
-        rs = rho_item(items, cap=self.cap, seed=self.seed)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(
-                int(users[t]), int(idxs[t]), int(rs[t]), enumerate_state=enumerate_state
-            )
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
+    def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        return [
+            h_item(items, self.m, seed=self.seed),
+            rho_item(items, cap=self.cap, seed=self.seed),
+        ]

@@ -15,23 +15,22 @@ the O(m)-per-edge behaviour the runtime experiment (Fig. 3) measures.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from repro.baselines.estimators import linear_counting
+from repro.baselines.estimators import TrackedCounters, linear_counting
 from repro.hashing import h_item
 
 
-class LpcPerUser:
+class LpcPerUser(TrackedCounters):
     """Dictionary of per-user LPC bitmaps with tracked counters."""
 
     def __init__(self, m: int, seed: int = 0):
         if m < 1:
             raise ValueError("m must be >= 1")
+        super().__init__()
         self.m = int(m)
         self.seed = seed
         self.bitmaps: dict[int, np.ndarray] = {}
         self._zeros: dict[int, int] = {}
-        self.estimates: dict[int, float] = {}
 
     def update(self, s: int, idx: int, *, enumerate_state: bool = False) -> None:
         """Process one pair whose item already hashed to bit ``idx``."""
@@ -46,33 +45,5 @@ class LpcPerUser:
         zeros = int(self.m - bm.sum()) if enumerate_state else self._zeros[s]
         self.estimates[s] = linear_counting(self.m, zeros)
 
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-        enumerate_state: bool = False,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints.
-
-        ``checkpoints`` are arrival indices t; a snapshot holds the
-        tracked counters after processing edge t (exclusive of later
-        edges). The final state is always available via ``estimates``.
-        """
-        idxs = h_item(np.asarray(items, dtype=np.int64), self.m, seed=self.seed)
-        users = np.asarray(users, dtype=np.int64)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(int(users[t]), int(idxs[t]), enumerate_state=enumerate_state)
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
+    def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        return [h_item(items, self.m, seed=self.seed)]

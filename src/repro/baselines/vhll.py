@@ -32,8 +32,12 @@ from repro.baselines.estimators import (
     linear_counting,
     pow2_neg_table,
 )
-from repro.baselines.virtual import virtual_estimates_spark
-from repro.hashing import f_user, h_item, rho_item
+from repro.baselines.virtual import (
+    VirtualSketch,
+    virtual_cells,
+    virtual_estimates_spark,
+)
+from repro.hashing import rho_item
 from repro.spark_passes import map_edges
 
 
@@ -67,36 +71,19 @@ def _vhll_noise(M: int, m: int, global_hsum: float, global_zeros: int) -> float:
     return m * hll_estimate(M, global_hsum, global_zeros) / M
 
 
-class VhllSketch:
+class VhllSketch(VirtualSketch):
     """Shared register array + per-user tracked counters (sequential)."""
 
     def __init__(self, M: int, m: int, w: int = 5, seed: int = 0):
         if not 1 <= m < M:
             raise ValueError("need 1 <= m < M")
-        self.M, self.m, self.w, self.seed = int(M), int(m), int(w), seed
+        super().__init__(M, m, seed)
+        self.w = int(w)
         self.cap = (1 << w) - 1
         self._pow2 = pow2_neg_table(self.cap)
         self.R = np.zeros(self.M, dtype=np.uint8)
         self.global_hsum = float(self.M)  # Σ_j 2^{-R[j]}, maintained O(1)
         self.global_zeros = self.M  # #zero registers, maintained O(1)
-        self.estimates: dict[int, float] = {}
-        self._iota = np.arange(self.m, dtype=np.int64)
-        # virtual-sketch index cache: recomputing f_1..f_m(s) costs
-        # ~m hash ops per edge; heavy-tail streams revisit the same
-        # users constantly, so memoize (int32, capped ~64 MB)
-        self._idx_cache: dict[int, np.ndarray] = {}
-        self._idx_cache_cap = 16384
-
-    def _user_idx(self, s: int) -> np.ndarray:
-        """Memoized virtual-sketch positions ``f_1(s)..f_m(s)``."""
-        idx = self._idx_cache.get(s)
-        if idx is None:
-            idx = f_user(np.int64(s), self._iota, self.M, seed=self.seed).astype(
-                np.int32
-            )
-            if len(self._idx_cache) < self._idx_cache_cap:
-                self._idx_cache[s] = idx
-        return idx
 
     def estimate(self, s: int) -> float:
         """End-state vHLL estimate for user s from the current array."""
@@ -118,39 +105,9 @@ class VhllSketch:
             self.R[pos] = r
         self.estimates[s] = self.estimate(s)
 
-    def run(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        checkpoints: list[int] | None = None,
-    ) -> dict[int, dict[int, float]]:
-        """Stream all edges; return estimate snapshots at checkpoints."""
-        users = np.asarray(users, dtype=np.int64)
-        items = np.asarray(items, dtype=np.int64)
-        i_of_item = h_item(items, self.m, seed=self.seed)
-        pos = f_user(users, i_of_item, self.M, seed=self.seed)
-        rs = rho_item(items, cap=self.cap, seed=self.seed)
-        snaps: dict[int, dict[int, float]] = {}
-        cps = sorted(checkpoints or [])
-        ci = 0
-        for t in range(len(users)):
-            while ci < len(cps) and cps[ci] <= t:
-                snaps[cps[ci]] = dict(self.estimates)
-                ci += 1
-            self.update(int(users[t]), int(pos[t]), int(rs[t]))
-        for cp in cps[ci:]:
-            snaps[cp] = dict(self.estimates)
-        return snaps
-
-    def final_estimates(self) -> pd.Series:
-        """Tracked counters as a Series (index: user)."""
-        return pd.Series(self.estimates, dtype=np.float64).rename_axis("user")
-
-    def end_state_estimates(self, users: np.ndarray) -> pd.Series:
-        """Re-estimate the given users against the *final* array."""
-        return pd.Series(
-            {int(s): self.estimate(int(s)) for s in users}, dtype=np.float64
-        ).rename_axis("user")
+    def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
+        rho = rho_item(items, cap=self.cap, seed=self.seed)
+        return [*super()._hashed(users, items), rho]
 
 
 def vhll_spark(
@@ -172,7 +129,7 @@ def vhll_spark(
     def registers(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
         R = np.zeros(M, dtype=np.uint8)
         for users, items in batches:
-            pos = f_user(users, h_item(items, m, seed=seed), M, seed=seed)
+            pos = virtual_cells(users, items, M, m, seed)
             rho = rho_item(items, cap=cap, seed=seed).astype(np.uint8)
             np.maximum.at(R, pos, rho)
         yield pd.DataFrame({"R": [R.tobytes()]})

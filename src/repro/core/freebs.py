@@ -8,9 +8,10 @@ bits (Horvitz–Thompson inverse inclusion probability). O(1) per edge.
 Exact distributed reformulation (DESIGN.md §2): a bit flips exactly
 once — at the earliest arrival hashing to it — and if flip events are
 ranked ``k = 1, 2, …`` by arrival time, the k-th flip sees
-``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``. All
-three implementations below compute exactly this; the numpy and Spark
-ones share the :func:`flip_contrib` kernel.
+``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``.
+:func:`freebs_absorb` is that rule as one kernel over a state
+``(B, m0)``; the numpy trace and the streaming query run it, and the
+Spark ordered pass shares its :func:`flip_contrib` weights.
 
 On Spark, Python hashes the edges in one pass with one task per core
 slot, a JVM ``groupBy(bit)`` keeps each bit's earliest arrival, and one
@@ -29,10 +30,14 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.hashing import h_star
-from repro.spark_passes import first_arrival, map_edges, ordered_pass
+from repro.spark_passes import (  # estimates_from_trace: re-exported
+    estimates_from_trace,
+    first_arrival,
+    map_edges,
+    ordered_pass,
+)
 
 
 def freebs_sequential(
@@ -60,14 +65,46 @@ def freebs_sequential(
     )
 
 
-def flip_contrib(n_events: int, M: int) -> np.ndarray:
-    """Contributions of the first ``n_events`` flips: ``M/m0``.
+def flip_contrib(n_events: int, M: int, m0: int | None = None) -> np.ndarray:
+    """Contributions ``M/m0`` of the next ``n_events`` flips.
 
-    Flip ``k`` (1-based) sees ``m0 = M-k+1`` zero bits; integer-valued
-    floats, so the quotient equals ``M/(M-k+1)`` evaluated any other way.
+    The array has ``m0`` zero bits before the first of them (default
+    ``M``: an empty array), so flip ``k`` (1-based) sees ``m0-k+1``;
+    integer-valued floats, so the quotient equals ``M/(m0-k+1)``
+    evaluated any other way.
     """
-    m0 = np.arange(M, M - n_events, -1, dtype=np.float64)
-    return np.divide(M, m0, out=m0)
+    m0 = M if m0 is None else m0
+    zeros = np.arange(m0, m0 - n_events, -1, dtype=np.float64)
+    return np.divide(M, zeros, out=zeros)
+
+
+def freebs_absorb(
+    state: tuple[np.ndarray, int],
+    t: np.ndarray,
+    users: np.ndarray,
+    items: np.ndarray,
+    seed: int = 0,
+) -> tuple[pd.DataFrame, tuple[np.ndarray, int]]:
+    """Absorb ``t``-sorted int64 edges into ``state = (B, m0)``.
+
+    ``B`` is the bool bit array (``M = len(B)``, updated in place) and
+    ``m0`` its zero count; a zero bit flips at the earliest arrival
+    hashing to it. Returns the flips' trace ``(t, user, contrib)`` and
+    the new state; chunks absorbed in turn give the one-shot trace.
+    """
+    B, m0 = state
+    M = len(B)
+    bits = h_star(users, items, M, seed=seed)
+    # earliest arrival per distinct bit; unique bits come sorted, so B is
+    # read and written in address order
+    ubits, first = np.unique(bits, return_index=True)
+    ev = first[~B[ubits]]
+    ev.sort()  # flips in arrival order
+    B[ubits] = True
+    trace = pd.DataFrame(
+        {"t": t[ev], "user": users[ev], "contrib": flip_contrib(len(ev), M, m0)}
+    )
+    return trace, (B, m0 - len(ev))
 
 
 def freebs_trace(
@@ -75,27 +112,15 @@ def freebs_trace(
 ) -> pd.DataFrame:
     """Exact vectorized FreeBS: trace ``(t, user, contrib)``.
 
-    Equivalent to :func:`freebs_sequential` bit-for-bit (asserted by
-    tests), at numpy speed.
+    :func:`freebs_absorb` on an empty array; equivalent to
+    :func:`freebs_sequential` bit-for-bit (asserted by tests), at numpy
+    speed.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    bits = h_star(users, items, M, seed=seed)
-    # earliest arrival per distinct bit = flip event
-    _, first_idx = np.unique(bits, return_index=True)
-    first_idx.sort()  # events in arrival order
-    return pd.DataFrame(
-        {
-            "t": first_idx.astype(np.int64),
-            "user": users[first_idx],
-            "contrib": flip_contrib(len(first_idx), M),
-        }
-    )
-
-
-def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
-    """Final per-user estimates (index: user) from a trace."""
-    return trace.groupby("user")["contrib"].sum()
+    t = np.arange(len(users), dtype=np.int64)
+    trace, _ = freebs_absorb((np.zeros(M, dtype=bool), M), t, users, items, seed)
+    return trace
 
 
 def _flip_events(edges: DataFrame, M: int, seed: int) -> DataFrame:

@@ -13,8 +13,9 @@ Exact distributed reformulation (DESIGN.md §2): register-change events
 are running-max records within each register's sub-stream; each record
 perturbs ``S`` by ``Δ = 2^-ρ − 2^-prev``; a cumulative sum of Δ in
 arrival order recovers the pre-event ``S`` and hence the contribution
-``M/S``. The numpy and Spark implementations share that last step
-(:func:`record_contrib`).
+``M/S``. :func:`freers_absorb` is that rule as one kernel over a state
+``(R, S)``; the numpy trace and the streaming query run it, and the
+Spark ordered pass shares its last step (:func:`record_contrib`).
 
 On Spark, Python hashes the edges in one pass with one task per core
 slot, the JVM finds the records (first arrival per register value, then
@@ -32,7 +33,14 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.hashing import h_star, rho_star
-from repro.spark_passes import first_arrival, map_edges, ordered_pass
+from repro.spark_passes import (  # estimates_from_trace: re-exported
+    estimates_from_trace,
+    first_arrival,
+    map_edges,
+    ordered_pass,
+)
+
+_POW2 = np.ldexp(1.0, -np.arange(256))  # 2^-v for every uint8 register value
 
 
 def freers_sequential(
@@ -62,15 +70,71 @@ def freers_sequential(
     )
 
 
-def record_contrib(rho: np.ndarray, prev: np.ndarray, M: int) -> np.ndarray:
+def _moves(rho: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """How far each record moves ``S``: ``2^-rho - 2^-prev``."""
+    return _POW2[rho] - _POW2[prev]
+
+
+def record_contrib(
+    rho: np.ndarray, prev: np.ndarray, M: int, S: float | None = None
+) -> np.ndarray:
     """Contributions ``M/S_pre`` of records in arrival order.
 
-    Record i moves ``S`` by ``2^-rho[i] - 2^-prev[i]``; ``S_pre`` is
-    ``M`` plus the sum of the earlier moves.
+    Record i moves ``S`` by ``2^-rho[i] - 2^-prev[i]``; ``S_pre`` is the
+    sum before the first record (``S``, default ``M``: an empty array)
+    plus the earlier moves.
     """
-    delta = 2.0**-rho.astype(np.float64) - 2.0**-prev.astype(np.float64)
-    s_pre = float(M) + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
-    return M / s_pre
+    delta = _moves(rho, prev)
+    earlier = np.zeros_like(delta)  # sum of the earlier moves
+    np.cumsum(delta[:-1], out=earlier[1:])
+    return M / ((float(M) if S is None else S) + earlier)
+
+
+def freers_absorb(
+    state: tuple[np.ndarray, float],
+    t: np.ndarray,
+    users: np.ndarray,
+    items: np.ndarray,
+    seed: int = 0,
+    w: int = 5,
+) -> tuple[pd.DataFrame, tuple[np.ndarray, float]]:
+    """Absorb ``t``-sorted int64 edges into ``state = (R, S)``.
+
+    ``R`` is the uint8 register array (``M = len(R)``, updated in place)
+    and ``S = Σ_j 2^-R[j]``. An edge is a record when its rank beats the
+    running max of its register, seeded with the register's value. The
+    running maxima use the segmented-cummax trick (offset each
+    register's ranks by ``segment * 64`` -- ranks are < 64 -- take one
+    global ``maximum.accumulate`` over the register-sorted order,
+    subtract the offset back). Returns the records' trace
+    ``(t, user, contrib)`` and the new state; chunks absorbed in turn
+    give the one-shot trace (bit for bit while M < 2^22, DESIGN.md §2).
+    """
+    R, S = state
+    M = len(R)
+    regs = h_star(users, items, M, seed=seed)
+    rhos = rho_star(users, items, cap=(1 << w) - 1, seed=seed)
+
+    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
+    reg_s, rho_s = regs[order], rhos[order]
+    start = np.ones(len(reg_s), dtype=bool)
+    start[1:] = reg_s[1:] != reg_s[:-1]
+    offset = (np.cumsum(start) - 1) * 64
+    cummax = np.maximum.accumulate(offset + rho_s) - offset
+    prev = np.empty_like(cummax)
+    prev[1:] = cummax[:-1]
+    prev[start] = 0
+    np.maximum(prev, R[reg_s], out=prev)  # seeded with the value before the chunk
+
+    rec = np.flatnonzero(rho_s > prev)
+    rec = rec[np.argsort(order[rec], kind="stable")]  # records in arrival order
+    rho, prev = rho_s[rec], prev[rec]
+    np.maximum.at(R, reg_s[rec], rho.astype(np.uint8))
+    idx = order[rec]
+    trace = pd.DataFrame(
+        {"t": t[idx], "user": users[idx], "contrib": record_contrib(rho, prev, M, S)}
+    )
+    return trace, (R, S + float(_moves(rho, prev).sum()))
 
 
 def freers_trace(
@@ -82,47 +146,14 @@ def freers_trace(
 ) -> pd.DataFrame:
     """Exact vectorized FreeRS trace, identical to the sequential run.
 
-    Per-register running maxima are computed with the segmented-cummax
-    trick (offset each register's ranks by ``reg * 64`` — ranks are
-    < 64 — take one global ``maximum.accumulate`` over the
-    register-sorted order, subtract the offset back).
+    :func:`freers_absorb` on an empty register array.
     """
-    cap = (1 << w) - 1
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
-    regs = h_star(users, items, M, seed=seed)
-    rhos = rho_star(users, items, cap=cap, seed=seed)
-
-    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
-    reg_s, rho_s = regs[order], rhos[order]
-    new_seg = np.ones(len(reg_s), dtype=bool)
-    new_seg[1:] = reg_s[1:] != reg_s[:-1]
-    seg_id = np.cumsum(new_seg) - 1
-    offset = seg_id.astype(np.int64) * 64
-    cummax = np.maximum.accumulate(offset + rho_s) - offset
-    prev = np.zeros(len(reg_s), dtype=np.int64)
-    prev[1:] = cummax[:-1]
-    prev[new_seg] = 0  # register starts at 0
-    is_record = rho_s > prev
-
-    t_rec = order[is_record]
-    rho_rec = rho_s[is_record]
-    prev_rec = prev[is_record]
-    by_t = np.argsort(t_rec, kind="stable")
-    t_rec, rho_rec, prev_rec = t_rec[by_t], rho_rec[by_t], prev_rec[by_t]
-
-    return pd.DataFrame(
-        {
-            "t": t_rec.astype(np.int64),
-            "user": users[t_rec],
-            "contrib": record_contrib(rho_rec, prev_rec, M),
-        }
-    )
-
-
-def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
-    """Final per-user estimates (index: user) from a trace."""
-    return trace.groupby("user")["contrib"].sum()
+    t = np.arange(len(users), dtype=np.int64)
+    state = (np.zeros(M, dtype=np.uint8), float(M))
+    trace, _ = freers_absorb(state, t, users, items, seed, w)
+    return trace
 
 
 def _record_events(edges: DataFrame, M: int, seed: int, w: int) -> DataFrame:

@@ -17,7 +17,9 @@ therefore keep their Python tasks to:
 
 Everything between the two (the per-bit/per-register dedupe) runs in
 the JVM. On Spark the ``ValueError`` is raised in the Python worker and
-reaches the caller as a ``PythonException`` carrying its message.
+reaches the caller as a ``PythonException`` carrying its message. The
+streaming queries check the same contract with the same helpers
+(:func:`edge_columns`, :func:`t_order`).
 """
 from __future__ import annotations
 
@@ -46,10 +48,30 @@ def edge_columns(pdf: pd.DataFrame, names: Sequence[str]) -> list[np.ndarray]:
     out = []
     for name in names:
         col = pdf[name]
-        if col.isna().any():
+        # an int64 column holds no null; Arrow hands a column with nulls
+        # over as float or object
+        if col.dtype != np.int64 and col.isna().any():
             raise ValueError(f"edges column {name!r} has a null value")
         out.append(col.to_numpy(np.int64))
     return out
+
+
+def t_order(t: np.ndarray) -> np.ndarray:
+    """The stable permutation sorting ``t``; ``ValueError`` on a repeat.
+
+    A repeated ``t`` would make an event's rank depend on tie order.
+    """
+    order = np.argsort(t, kind="stable")
+    ts = t[order]
+    dup = ts[1:][ts[1:] == ts[:-1]]
+    if len(dup):
+        raise ValueError(f"two events share t={dup[0]}; t must be unique")
+    return order
+
+
+def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
+    """Final per-user estimates (index: user) from a trace."""
+    return trace.groupby("user")["contrib"].sum()
 
 
 def map_edges(
@@ -88,16 +110,13 @@ def ordered_pass(
         if not chunks:
             return
         ev = pd.concat(chunks, ignore_index=True)
-        ev = ev.iloc[np.argsort(ev["t"].to_numpy(), kind="stable")]
+        ev = ev.iloc[t_order(ev["t"].to_numpy())]
         t = ev["t"].to_numpy()
-        dup = t[1:][t[1:] == t[:-1]]
-        if len(dup):
-            raise ValueError(f"two events share t={dup[0]}; t must be unique")
         trace = pd.DataFrame(
             {"t": t, "user": ev["user"].to_numpy(), "contrib": contrib(ev)}
         )
         if per_user:
-            sums = trace.groupby("user")["contrib"].sum()
+            sums = estimates_from_trace(trace)
             yield pd.DataFrame({"user": sums.index, "estimate": sums.to_numpy()})
         else:
             yield trace

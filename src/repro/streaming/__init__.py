@@ -6,16 +6,21 @@ as Spark Structured Streaming stateful aggregations
 
 * :mod:`repro.streaming.shared_sketch` — FreeBS/FreeRS. The shared
   array is global state, so exact semantics require a single state
-  group: the packed bit/register array plus the incremental ``q``
-  bookkeeping live in state and each micro-batch is absorbed with the
-  same vectorized event algebra as the batch implementation. Tests
-  assert the streaming run equals the batch run exactly.
+  group: the packed bit/register array plus ``m0`` resp. ``S`` live in
+  state, and one adapter absorbs each ``t``-sorted micro-batch with the
+  estimator's kernel (``freebs_absorb``/``freers_absorb``), the same
+  one the numpy trace runs. Tests assert the streaming run equals the
+  batch run bit for bit.
 * :mod:`repro.streaming.per_user` — the per-key pattern: per-user
   HLL++ sketch arrays keyed by user, emitting each user's current
   estimate every micro-batch.
 * :mod:`repro.streaming.source` — a deterministic file-backed
   micro-batch edge stream (ordered parquet chunks, one file per
   trigger).
+
+All three queries read their columns through
+:func:`repro.spark_passes.edge_columns`: a null fails the query with
+``ValueError`` naming the column.
 """
 from repro.streaming.source import read_edge_stream, write_stream_batches
 from repro.streaming.shared_sketch import freebs_stateful, freers_stateful

@@ -24,6 +24,7 @@ from pyspark.sql.types import (
 
 from repro.baselines.estimators import hll_estimate, pow2_neg_table
 from repro.hashing import h_item, rho_item
+from repro.spark_passes import edge_columns
 
 _OUT_SCHEMA = StructType(
     [StructField("user", LongType()), StructField("estimate", DoubleType())]
@@ -48,9 +49,7 @@ def hllpp_stateful(
         else:
             regs = np.zeros(m, dtype=np.uint8)
         for pdf in pdfs:
-            if not len(pdf):
-                continue
-            items = pdf["item"].to_numpy(np.int64)
+            _, items = edge_columns(pdf, ("user", "item"))
             idx = h_item(items, m, seed=seed)
             rho = rho_item(items, cap=cap, seed=seed).astype(np.uint8)
             np.maximum.at(regs, idx, rho)

@@ -4,10 +4,18 @@ The shared array is *global* state — exact semantics need every edge to
 see the array left by all earlier edges, so the stream is grouped under
 a single constant key and the whole sketch lives in that group's state
 (``applyInPandasWithState``): the packed bit/register array plus the
-O(1) bookkeeping (``m0`` resp. the harmonic sum ``S``). Each
-micro-batch is absorbed with the same vectorized event algebra as the
-batch implementation (DESIGN.md §2), so a streaming run is *exactly*
-equal to a batch run over the concatenated stream — asserted by tests.
+O(1) bookkeeping (``m0`` resp. the register sum ``S``). This module is
+only the streaming adapter: it decodes that state, absorbs the
+micro-batch in ``t`` order with the estimator's one kernel
+(:func:`~repro.core.freebs.freebs_absorb`,
+:func:`~repro.core.freers.freers_absorb`) and encodes the new state.
+The kernel absorbs a stream in chunks exactly as at once, so a
+streaming run equals a batch run over the concatenated stream
+bit for bit, which the tests assert.
+
+Input contract, as in the Spark batch drivers
+(:mod:`repro.spark_passes`): a null ``t``, user or item, or two edges of
+one micro-batch sharing ``t``, fails the query with ``ValueError``.
 
 State size is ``M/8`` bytes (FreeBS) or ``M`` bytes (FreeRS): a few
 hundred KB at the paper's M, well inside state-store limits. The output
@@ -16,90 +24,64 @@ per-user estimates are its running sums, exactly as in batch.
 """
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from functools import partial
+from typing import Callable, Iterator, Tuple
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
-from pyspark.sql.types import (
-    BinaryType,
-    DoubleType,
-    IntegerType,
-    LongType,
-    StructField,
-    StructType,
-)
 
-from repro.hashing import h_star, rho_star
-
-_TRACE_SCHEMA = StructType(
-    [
-        StructField("t", LongType()),
-        StructField("user", LongType()),
-        StructField("contrib", DoubleType()),
-    ]
-)
+from repro.core.freebs import freebs_absorb
+from repro.core.freers import freers_absorb
+from repro.spark_passes import TRACE_SCHEMA, edge_columns, t_order
 
 
-def _collect_sorted(pdfs: Iterator[pd.DataFrame]) -> pd.DataFrame:
-    chunks = [p for p in pdfs if len(p)]
-    if not chunks:
-        return pd.DataFrame({"t": [], "user": [], "item": []}).astype(np.int64)
-    return pd.concat(chunks).sort_values("t").reset_index(drop=True)
-
-
-def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
-    """Streaming FreeBS: trace of accepted events, append mode."""
-
-    state_schema = StructType(
-        [StructField("packed", BinaryType()), StructField("m0", LongType())]
-    )
+def _stateful(
+    edges: DataFrame,
+    state_schema: str,
+    fresh: Callable[[], tuple],
+    decode: Callable[..., tuple],
+    encode: Callable[..., tuple],
+    absorb: Callable[..., tuple[pd.DataFrame, tuple]],
+) -> DataFrame:
+    """One state group holding the sketch, which ``absorb(sketch, t,
+    users, items)`` updates per micro-batch; ``decode``/``encode`` map
+    the state row to the sketch and back, ``fresh()`` is the empty one."""
 
     def fn(
         key: Tuple, pdfs: Iterator[pd.DataFrame], state: GroupState
     ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            packed, m0 = state.get
-            B = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=M).astype(
-                bool
-            )
-        else:
-            B, m0 = np.zeros(M, dtype=bool), M
-        pdf = _collect_sorted(pdfs)
-        if len(pdf):
-            users = pdf["user"].to_numpy(np.int64)
-            bits = h_star(users, pdf["item"].to_numpy(np.int64), M, seed=seed)
-            # rows hitting a still-zero bit, earliest arrival per bit
-            cold = ~B[bits]
-            first = ~pd.Series(bits).duplicated().to_numpy()
-            ev = cold & first
-            k = np.arange(ev.sum(), dtype=np.float64)
-            contrib = M / (m0 - k)
-            B[bits[ev]] = True
-            m0 -= int(ev.sum())
-            state.update((np.packbits(B).tobytes(), int(m0)))
-            yield pd.DataFrame(
-                {
-                    "t": pdf["t"].to_numpy(np.int64)[ev],
-                    "user": users[ev],
-                    "contrib": contrib,
-                }
-            )
-        else:
-            state.update(
-                (np.packbits(B).tobytes(), int(m0))
-                if state.exists
-                else (np.packbits(B).tobytes(), M)
-            )
+        sketch = decode(*state.get) if state.exists else fresh()
+        pdf = pd.concat(list(pdfs), ignore_index=True)
+        t, users, items = edge_columns(pdf, ("t", "user", "item"))
+        order = t_order(t)
+        trace, sketch = absorb(sketch, t[order], users[order], items[order])
+        state.update(encode(*sketch))
+        yield trace
 
     return (
         edges.withColumn("g", F.lit(0))
         .groupBy("g")
         .applyInPandasWithState(
-            fn, _TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
+            fn, TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
         )
+    )
+
+
+def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
+    """Streaming FreeBS: trace of accepted events, append mode."""
+    return _stateful(
+        edges,
+        "packed binary, m0 long",
+        lambda: (np.zeros(M, dtype=bool), M),
+        lambda packed, m0: (
+            np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=M).astype(bool),
+            m0,
+        ),
+        lambda B, m0: (np.packbits(B).tobytes(), int(m0)),
+        partial(freebs_absorb, seed=seed),
     )
 
 
@@ -107,64 +89,11 @@ def freers_stateful(
     edges: DataFrame, M: int, seed: int = 0, w: int = 5
 ) -> DataFrame:
     """Streaming FreeRS: trace of accepted events, append mode."""
-    cap = (1 << w) - 1
-
-    state_schema = StructType(
-        [StructField("regs", BinaryType()), StructField("hsum", DoubleType())]
-    )
-
-    def fn(
-        key: Tuple, pdfs: Iterator[pd.DataFrame], state: GroupState
-    ) -> Iterator[pd.DataFrame]:
-        if state.exists:
-            regs_bytes, hsum = state.get
-            R = np.frombuffer(regs_bytes, dtype=np.uint8).copy()
-        else:
-            R, hsum = np.zeros(M, dtype=np.uint8), float(M)
-        pdf = _collect_sorted(pdfs)
-        if len(pdf):
-            users = pdf["user"].to_numpy(np.int64)
-            items = pdf["item"].to_numpy(np.int64)
-            ts = pdf["t"].to_numpy(np.int64)
-            regs = h_star(users, items, M, seed=seed)
-            rhos = rho_star(users, items, cap=cap, seed=seed)
-
-            order = np.argsort(regs, kind="stable")
-            reg_s, rho_s = regs[order], rhos[order]
-            new_seg = np.ones(len(reg_s), dtype=bool)
-            new_seg[1:] = reg_s[1:] != reg_s[:-1]
-            seg_id = np.cumsum(new_seg) - 1
-            offset = seg_id.astype(np.int64) * 64
-            cummax = np.maximum.accumulate(offset + rho_s) - offset
-            prev_in_batch = np.zeros(len(reg_s), dtype=np.int64)
-            prev_in_batch[1:] = cummax[:-1]
-            prev_in_batch[new_seg] = 0
-            prev = np.maximum(prev_in_batch, R[reg_s].astype(np.int64))
-            is_rec = rho_s > prev
-
-            idx = order[is_rec]
-            rho_rec, prev_rec = rho_s[is_rec], prev[is_rec]
-            by_t = np.argsort(idx, kind="stable")
-            idx, rho_rec, prev_rec = idx[by_t], rho_rec[by_t], prev_rec[by_t]
-            delta = 2.0**-rho_rec.astype(np.float64) - 2.0**-prev_rec.astype(
-                np.float64
-            )
-            s_pre = hsum + np.concatenate(([0.0], np.cumsum(delta)[:-1]))
-            contrib = M / s_pre
-
-            np.maximum.at(R, regs, rhos.astype(np.uint8))
-            hsum = float(s_pre[-1] + delta[-1]) if len(delta) else hsum
-            state.update((R.tobytes(), hsum))
-            yield pd.DataFrame(
-                {"t": ts[idx], "user": users[idx], "contrib": contrib}
-            )
-        else:
-            state.update((R.tobytes(), hsum))
-
-    return (
-        edges.withColumn("g", F.lit(0))
-        .groupBy("g")
-        .applyInPandasWithState(
-            fn, _TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
-        )
+    return _stateful(
+        edges,
+        "regs binary, hsum double",
+        lambda: (np.zeros(M, dtype=np.uint8), float(M)),
+        lambda regs, S: (np.frombuffer(regs, dtype=np.uint8).copy(), S),
+        lambda R, S: (R.tobytes(), float(S)),
+        partial(freers_absorb, seed=seed, w=w),
     )

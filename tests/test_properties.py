@@ -1,11 +1,12 @@
 """Property-based tests (hypothesis) for the exact core invariants."""
 import numpy as np
 import pandas as pd
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freebs import freebs_sequential, freebs_trace
-from repro.core.freers import freers_sequential, freers_trace
+from repro.core.freebs import freebs_absorb, freebs_sequential, freebs_trace
+from repro.core.freers import freers_absorb, freers_sequential, freers_trace
 from repro.hashing import h_star, rho_star
 
 streams = st.integers(1, 400).flatmap(
@@ -89,3 +90,44 @@ def test_duplicate_suffix_never_changes_estimates(users, seed):
         np.concatenate([u, u]), np.concatenate([i, i]), 512, seed=seed
     )
     pd.testing.assert_frame_equal(once, twice)
+
+
+# streams plus the adversarial cases: tiny arrays (M <= 8, down to M = 1,
+# where every edge lands in one bit or register) and streams made only of
+# duplicates (one pair repeated)
+adversarial_streams = st.one_of(
+    streams,
+    streams.map(lambda d: (d[0], d[1], 1 + d[2] % 8, d[3])),
+    streams.map(lambda d: (d[0][:1] * len(d[0]), d[1][:1] * len(d[1]), d[2], d[3])),
+)
+FRESH = {
+    "freebs": (freebs_absorb, freebs_trace, lambda M: (np.zeros(M, dtype=bool), M)),
+    "freers": (
+        freers_absorb,
+        freers_trace,
+        lambda M: (np.zeros(M, dtype=np.uint8), float(M)),
+    ),
+}
+
+
+@pytest.mark.parametrize("estimator", FRESH)
+@settings(max_examples=60, deadline=None)
+@given(adversarial_streams, st.lists(st.integers(0, 400), max_size=6))
+def test_absorbing_in_chunks_equals_one_shot(estimator, data, cuts):
+    """Any split of the stream into t-ordered chunks gives the one-shot
+    trace bit for bit: the state carries everything between chunks."""
+    absorb, trace, fresh = FRESH[estimator]
+    users, items, M, seed = data
+    u, i = np.array(users), np.array(items)
+    t = np.arange(len(u))
+    state = fresh(M)
+    bounds = [0, *sorted(min(c, len(u)) for c in cuts), len(u)]
+    parts = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        part, state = absorb(state, t[lo:hi], u[lo:hi], i[lo:hi], seed)
+        parts.append(part)
+    pd.testing.assert_frame_equal(
+        pd.concat(parts, ignore_index=True),
+        trace(u, i, M, seed=seed),
+        check_exact=True,
+    )

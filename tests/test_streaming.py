@@ -7,6 +7,7 @@ bookkeeping) carries across triggers.
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.errors import StreamingQueryException
 
 from repro.baselines import HllPerUser
 from repro.core.freebs import freebs_trace
@@ -74,7 +75,11 @@ class TestSharedSketchStreaming:
         )
         assert np.array_equal(got["t"], want["t"])
         assert np.array_equal(got["user"], want["user"])
-        np.testing.assert_allclose(got["contrib"], want["contrib"], rtol=1e-9)
+        # bit-exact: FreeBS adds M/m0 with an integer m0; FreeRS moves S by
+        # 2^-ρ - 2^-prev with ρ <= 31, so every partial sum is a multiple
+        # of 2^-31 below M·2^31 < 2^53 (M < 2^22) and micro-batch
+        # boundaries cannot change a bit
+        assert np.array_equal(got["contrib"], want["contrib"])
 
     def test_state_persists_across_many_batches(self, spark, tmp_path):
         # 1 batch vs 10 batches must agree: state round-trips exactly
@@ -92,6 +97,25 @@ class TestSharedSketchStreaming:
                 spark.table(name).toPandas().sort_values("t").reset_index(drop=True)
             )
         pd.testing.assert_frame_equal(results[1], results[10])
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "name, query",
+        [
+            ("freebs_null", lambda e: freebs_stateful(e, 1024)),
+            ("freers_null", lambda e: freers_stateful(e, 256)),
+            ("hllpp_null", lambda e: hllpp_stateful(e, m=32)),
+        ],
+    )
+    def test_null_user_fails_the_query(self, spark, tmp_path, name, query):
+        pdf = _stream_pdf(5, 50, 20, 0)
+        pdf["user"] = pdf["user"].astype("Int64")
+        pdf.loc[7, "user"] = pd.NA
+        write_stream_batches(pdf, tmp_path, n_batches=1)
+        message = "edges column 'user' has a null value"
+        with pytest.raises(StreamingQueryException, match=message):
+            _run_query(query(read_edge_stream(spark, tmp_path)), name)
 
 
 class TestPerUserStreaming:
