@@ -7,18 +7,19 @@ m; CSE, vHLL, LPC, HLL++ enumerate m bits/registers per estimate —
 linear in m. All six run in the same sequential Python harness, so the
 relative shape (not absolute ns) is the reproduced quantity.
 
-Run: ``python jobs/fig3_runtime.py [--edges N] [--ms 128,256,...]``
+Run: ``python jobs/fig3_runtime.py [--edges N] [--ms 128,512,...]``
 """
 import argparse
 import sys
 
-import numpy as np
 import pandas as pd
 
 from repro.analysis.harness import ALL_METHODS, measure_update_ns
 from repro.datasets import CATALOG, generate_stream
 
-DEFAULT_MS = (128, 256, 512, 1024, 2048, 4096)
+DEFAULT_MS = (128, 512, 2048, 4096)
+# the O(1) and the O(m) per-edge methods
+FREE, LINEAR = ["freebs", "freers"], ["cse", "vhll", "lpc", "hllpp"]
 
 
 def fig3(
@@ -32,11 +33,48 @@ def fig3(
     users = stream["user"].to_numpy()
     items = stream["item"].to_numpy()
     rows = []
-    for m in ms:
-        for method in methods:
+    # one method's cells run back to back, so a slowdown of the host
+    # between them cannot pass for growth in m
+    for method in methods:
+        for m in ms:
+            # warm up interpreter/numpy paths (the recorded quantity is
+            # steady-state ns/edge)
+            measure_update_ns(method, users[:2000], items[:2000], m=m, seed=seed)
             ns = measure_update_ns(method, users, items, m=m, seed=seed)
             rows.append({"m": m, "method": method, "ns_per_edge": ns})
     return pd.DataFrame(rows)
+
+
+def _pivot(df: pd.DataFrame) -> pd.DataFrame:
+    return df.pivot(index="m", columns="method", values="ns_per_edge")
+
+
+def render(df: pd.DataFrame) -> str:
+    return "Fig. 3 as table — ns per edge (update + estimate)\n" + (
+        _pivot(df).round(0).to_string()
+    )
+
+
+def violated_claims(df: pd.DataFrame) -> list[str]:
+    """The paper's claims the table breaks, one message each.
+
+    At the largest m, Free* beat every O(m) method, by 10x for FreeBS
+    against the shared-array baselines, and CSE beats vHLL (bit ops are
+    cheaper than registers). From the smallest m to the largest, Free*
+    stay flat while the O(m) methods grow (the exact slope is diluted by
+    the per-edge constant of the Python harness, so direction and
+    separation are checked, not the asymptotic factor).
+    """
+    if df.empty:
+        return ["Fig. 3: no rows"]
+    piv = _pivot(df)
+    small, big = piv.iloc[0], piv.iloc[-1]
+    holds = {f"{f} below every O(m) method": big[f] < big[LINEAR].min() for f in FREE}
+    holds["CSE below vHLL"] = big["cse"] < big["vhll"]
+    holds["FreeBS 10x below CSE/vHLL"] = 10 * big["freebs"] < big[["cse", "vhll"]].min()
+    holds |= {f"{f} flat in m": piv[f].max() < 2 * piv[f].min() for f in FREE}
+    holds |= {f"{b} grows 1.5x with m": big[b] > 1.5 * small[b] for b in LINEAR}
+    return [f"fails: {claim}" for claim, ok in holds.items() if not ok]
 
 
 def main(argv=None) -> int:
@@ -45,13 +83,8 @@ def main(argv=None) -> int:
     ap.add_argument("--ms", default=",".join(map(str, DEFAULT_MS)))
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    df = fig3(args.edges, tuple(int(x) for x in args.ms.split(",")), seed=args.seed)
-    print("\n=== Fig. 3 as table: ns/edge (update + estimate) ===")
-    print(
-        df.pivot(index="m", columns="method", values="ns_per_edge")
-        .round(0)
-        .to_string()
-    )
+    ms = tuple(int(x) for x in args.ms.split(","))
+    print(render(fig3(args.edges, ms, seed=args.seed)))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Shared evaluation harness for the paper's experiments (§V).
 
-One entry point per experimental protocol, reused by ``jobs/``,
-``benchmarks/`` and the integration tests:
+One entry point per experimental protocol, reused by ``jobs/`` and the
+integration tests:
 
 * :func:`run_tracked` — the paper's §V-B protocol: every method keeps a
   per-user counter updated on that user's arrivals; returns final
@@ -11,6 +11,7 @@ One entry point per experimental protocol, reused by ``jobs/``,
 * :func:`fig6_over_time` — FNR/FPR at checkpoints (Fig. 6).
 * :func:`measure_update_ns` — mean per-edge update+estimate latency of
   a method's sequential loop (Fig. 3).
+* :func:`over_datasets` — one of the above on each catalog dataset.
 
 Memory accounting follows §V-B: under a budget of ``M_bits``, FreeBS
 and CSE get ``M_bits`` bits; FreeRS and vHLL get ``M_bits/w`` w-bit
@@ -37,10 +38,12 @@ from repro.baselines import CseSketch, HllPerUser, LpcPerUser, VhllSketch
 from repro.baselines.estimators import TrackedCounters, user_series
 from repro.core.freebs import estimates_from_trace, freebs_sequential, freebs_trace
 from repro.core.freers import freers_sequential, freers_trace
+from repro.datasets import CATALOG, generate_stream, true_cardinalities
 
 REGISTER_WIDTH = 5  # w: bits per shared register (paper §V-B)
 HLLPP_WIDTH = 6  # HLL++ registers are 6-bit (paper §V-B)
 DEFAULT_M_VIRTUAL = 1024  # m for CSE/vHLL virtual sketches (paper §V-E)
+DELTA = 5e-5  # super-spreader threshold, relative to n_total (paper §V-F)
 
 ALL_METHODS = ("freebs", "freers", "cse", "vhll", "hllpp", "lpc")
 TABLE2_METHODS = ("freebs", "freers", "cse", "vhll", "hllpp")  # §V-F set
@@ -65,6 +68,14 @@ REGISTER_METHODS = ("freers", "vhll")
 # per-user baselines and their bits per cell; their m is per_user_m in
 # the §V-B protocol
 PER_USER_WIDTH = {"hllpp": HLLPP_WIDTH, "lpc": 1}
+
+
+def shared_size(method: str, M_bits: int, m: int) -> int:
+    """Shared-array size of ``method`` under a budget of ``M_bits``:
+    ``M_bits/w`` registers (at least ``m+1``) or ``M_bits`` bits."""
+    if method in REGISTER_METHODS:
+        return max(m + 1, M_bits // REGISTER_WIDTH)
+    return M_bits
 
 
 def make_sketch(method: str, M: int, m: int, seed: int = 0) -> TrackedCounters:
@@ -102,12 +113,12 @@ def run_tracked(
     users = stream["user"].to_numpy(np.int64)
     items = stream["item"].to_numpy(np.int64)
     n_users = int(stream["user"].nunique())
-    M_regs = max(m + 1, M_bits // REGISTER_WIDTH)
+    M_regs = shared_size("freers", M_bits, m)
     cps = sorted(checkpoints or [])
     est: dict[str, pd.Series] = {}
     snaps: dict[str, dict[int, pd.Series]] = {}
     for method in methods:
-        M = M_regs if method in REGISTER_METHODS else M_bits
+        M = shared_size(method, M_bits, m)
         if method in FREE_METHODS:
             trace = FREE_METHODS[method][0](users, items, M, seed=seed)
             est[method] = estimates_from_trace(trace)
@@ -131,13 +142,13 @@ def run_tracked(
 def table2_rows(
     stream: pd.DataFrame,
     M_bits: int,
-    delta: float,
+    delta: float = DELTA,
     m: int = DEFAULT_M_VIRTUAL,
     methods: tuple[str, ...] = TABLE2_METHODS,
     seed: int = 0,
 ) -> pd.DataFrame:
     """Super-spreader FNR/FPR per method at end of stream (Table II)."""
-    truth = stream.groupby("user")["item"].nunique()
+    truth = true_cardinalities(stream)
     res = run_tracked(stream, M_bits, m=m, methods=methods, seed=seed)
     rows = []
     for method in methods:
@@ -154,7 +165,7 @@ def fig5_rse(
     seed: int = 0,
 ) -> pd.DataFrame:
     """RSE per power-of-two cardinality bucket per method (Fig. 5)."""
-    truth = stream.groupby("user")["item"].nunique()
+    truth = true_cardinalities(stream)
     res = run_tracked(stream, M_bits, m=m, methods=methods, seed=seed)
     out = []
     for method in methods:
@@ -167,7 +178,7 @@ def fig5_rse(
 def fig6_over_time(
     stream: pd.DataFrame,
     M_bits: int,
-    delta: float,
+    delta: float = DELTA,
     n_checkpoints: int = 10,
     m: int = DEFAULT_M_VIRTUAL,
     methods: tuple[str, ...] = TABLE2_METHODS,
@@ -207,8 +218,7 @@ def measure_update_ns(
     arriving user's (virtual) sketch, as in the paper's implementations.
     FreeBS/FreeRS take no m (their O(1) loop is Algorithm 1/2).
     """
-    M_regs = max(m + 1, M_bits // REGISTER_WIDTH)
-    M = M_regs if method in REGISTER_METHODS else M_bits
+    M = shared_size(method, M_bits, m)
     start = time.perf_counter()
     if method in FREE_METHODS:
         FREE_METHODS[method][1](users, items, M, seed=seed)
@@ -217,3 +227,15 @@ def measure_update_ns(
             users, items, enumerate_state=method in PER_USER_WIDTH
         )
     return (time.perf_counter() - start) / len(users) * 1e9
+
+
+def over_datasets(fn, names, seed: int = 0, **kwargs) -> pd.DataFrame:
+    """``fn(stream, M_bits, seed=seed, **kwargs)`` on each named catalog
+    dataset's stream, stacked under a leading ``dataset`` column."""
+    parts = []
+    for name in names:
+        spec = CATALOG[name]
+        df = fn(generate_stream(spec, seed=seed), spec.M_bits, seed=seed, **kwargs)
+        df.insert(0, "dataset", name)
+        parts.append(df)
+    return pd.concat(parts, ignore_index=True)

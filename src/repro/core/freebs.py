@@ -33,6 +33,7 @@ from pyspark.sql import DataFrame
 
 from repro.hashing import h_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
+    edge_column,
     estimates_from_trace,
     first_arrival,
     map_edges,
@@ -114,10 +115,10 @@ def freebs_trace(
 
     :func:`freebs_absorb` on an empty array; equivalent to
     :func:`freebs_sequential` bit-for-bit (asserted by tests), at numpy
-    speed.
+    speed. A null user or item raises ``ValueError`` (:func:`edge_column`).
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users = edge_column(users, "user")
+    items = edge_column(items, "item")
     t = np.arange(len(users), dtype=np.int64)
     trace, _ = freebs_absorb((np.zeros(M, dtype=bool), M), t, users, items, seed)
     return trace

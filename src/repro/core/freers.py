@@ -34,6 +34,7 @@ from pyspark.sql import functions as F
 
 from repro.hashing import h_star, rho_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
+    edge_column,
     estimates_from_trace,
     first_arrival,
     map_edges,
@@ -146,10 +147,11 @@ def freers_trace(
 ) -> pd.DataFrame:
     """Exact vectorized FreeRS trace, identical to the sequential run.
 
-    :func:`freers_absorb` on an empty register array.
+    :func:`freers_absorb` on an empty register array. A null user or
+    item raises ``ValueError`` (:func:`edge_column`).
     """
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
+    users = edge_column(users, "user")
+    items = edge_column(items, "item")
     t = np.arange(len(users), dtype=np.int64)
     state = (np.zeros(M, dtype=np.uint8), float(M))
     trace, _ = freers_absorb(state, t, users, items, seed, w)

@@ -19,7 +19,8 @@ Everything between the two (the per-bit/per-register dedupe) runs in
 the JVM. On Spark the ``ValueError`` is raised in the Python worker and
 reaches the caller as a ``PythonException`` carrying its message. The
 streaming queries check the same contract with the same helpers
-(:func:`edge_columns`, :func:`t_order`).
+(:func:`edge_columns`, :func:`t_order`), and the numpy traces check
+their inputs with :func:`edge_column`.
 """
 from __future__ import annotations
 
@@ -43,17 +44,21 @@ def first_arrival() -> list[Column]:
     return [F.min("t").alias("t"), F.min_by("user", "t").alias("user")]
 
 
+def edge_column(values, name: str) -> np.ndarray:
+    """Edge column ``name`` as an int64 array; ``ValueError`` on a null.
+
+    An int64 array holds no null and is returned as is, without a copy
+    or a scan; a column with nulls arrives as float (NaN) or object.
+    """
+    if getattr(values, "dtype", None) != np.int64 and pd.isna(values).any():
+        raise ValueError(f"edges column {name!r} has a null value")
+    return np.asarray(values, dtype=np.int64)
+
+
 def edge_columns(pdf: pd.DataFrame, names: Sequence[str]) -> list[np.ndarray]:
-    """The named edge columns as int64 arrays; ``ValueError`` on a null."""
-    out = []
-    for name in names:
-        col = pdf[name]
-        # an int64 column holds no null; Arrow hands a column with nulls
-        # over as float or object
-        if col.dtype != np.int64 and col.isna().any():
-            raise ValueError(f"edges column {name!r} has a null value")
-        out.append(col.to_numpy(np.int64))
-    return out
+    """The named edge columns, each checked by :func:`edge_column`."""
+    # Series.to_numpy first: np.asarray(Series) takes a much slower path
+    return [edge_column(pdf[name].to_numpy(), name) for name in names]
 
 
 def t_order(t: np.ndarray) -> np.ndarray:

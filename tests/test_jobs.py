@@ -1,4 +1,5 @@
 """End-to-end tests for the jobs (small-scale invocations)."""
+import importlib
 import sys
 
 import pandas as pd
@@ -7,6 +8,7 @@ import pytest
 sys.path.insert(0, "jobs")
 
 from repro.analysis.harness import TABLE2_METHODS  # noqa: E402
+from repro.datasets import CATALOG  # noqa: E402
 
 
 class TestTable1Job:
@@ -68,3 +70,93 @@ class TestJobMains:
         assert main(["--datasets", "orkut"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 5" in out and "freebs" in out
+
+
+# Tables in each job's shape that satisfy the paper's claims, each with
+# a doctoring that must break one (FNR/FPR per method as in Table II).
+RATES = {"freebs": 0.01, "freers": 0.02, "cse": 0.1, "vhll": 0.2, "hllpp": 0.05}
+FIG3_NS = {  # ns/edge at m = 128 and 4096
+    "freebs": (500, 510), "freers": (2000, 2000), "cse": (30000, 90000),
+    "vhll": (40000, 100000), "hllpp": (9000, 26000), "lpc": (3500, 6300),
+}
+FIG5_RSE = {  # RSE in the buckets 1, 16, 256 and 8192 > m ln m
+    "freebs": (0.5, 0.1, 0.02, 0.004), "freers": (1, 0.2, 0.05, 0.01),
+    "cse": (8, 0.6, 0.06, 0.4), "vhll": (20, 1.3, 0.13, 0.08),
+    "hllpp": (0.5, 0.2, 0.2, 0.15),
+}
+
+
+def _table1():
+    spec = CATALOG["orkut"]
+    return [{"dataset": "orkut", "users": spec.users, "total_card": spec.total_card}]
+
+
+def _table2():
+    rows = [{"method": k, "fnr": r, "fpr": r / 10} for k, r in RATES.items()]
+    return pd.DataFrame(rows).assign(dataset="sanjose")
+
+
+def _fig3():
+    rows = [
+        {"m": m, "method": k, "ns_per_edge": ns[i]}
+        for k, ns in FIG3_NS.items()
+        for i, m in enumerate((128, 4096))
+    ]
+    return pd.DataFrame(rows)
+
+
+def _fig5():
+    rows = [
+        {"method": k, "bucket_lo": b, "rse": rse[i]}
+        for k, rse in FIG5_RSE.items()
+        for i, b in enumerate((1, 16, 256, 8192))
+    ]
+    return pd.DataFrame(rows).assign(dataset="orkut")
+
+
+def _fig6():
+    rows = [
+        {"method": k, "t": t, "fnr": r, "fpr": r / 10}
+        for t in (1, 2, 3, 4)
+        for k, r in RATES.items()
+    ]
+    return pd.DataFrame(rows).assign(dataset="sanjose")
+
+
+def _swap_freebs_and_cse(df):
+    return df.assign(method=df["method"].replace({"freebs": "cse", "cse": "freebs"}))
+
+
+def _flat_cse(df):
+    return df.assign(ns_per_edge=df["ns_per_edge"].mask(df["method"] == "cse", 9e4))
+
+
+def _vhll_beats_freebs_at_t2(df):
+    at = (df["method"] == "vhll") & (df["t"] == 2)
+    return df.assign(fnr=df["fnr"].mask(at, 0.0))
+
+
+CLAIM_CASES = {
+    "table1-total-3pct-off": (
+        "table1_datasets", _table1,
+        lambda rows: [{**rows[0], "total_card": int(rows[0]["total_card"] * 1.03)}],
+    ),
+    "table2-freebs-and-cse-swapped": (
+        "table2_superspreaders", _table2, _swap_freebs_and_cse,
+    ),
+    "fig3-flat-cse": ("fig3_runtime", _fig3, _flat_cse),
+    "fig5-no-bucket-past-m-ln-m": (
+        "fig5_rse", _fig5, lambda df: df[df["bucket_lo"] < 8192],
+    ),
+    "fig6-vhll-beats-freebs-once": (
+        "fig6_superspreaders_over_time", _fig6, _vhll_beats_freebs_at_t2,
+    ),
+    "fig6-empty": ("fig6_superspreaders_over_time", _fig6, lambda df: df.iloc[:0]),
+}
+
+
+@pytest.mark.parametrize("job,table,doctor", CLAIM_CASES.values(), ids=CLAIM_CASES)
+def test_claims_pass_the_paper_shape_and_fail_a_doctored_table(job, table, doctor):
+    violated_claims = importlib.import_module(job).violated_claims
+    assert violated_claims(table()) == []
+    assert violated_claims(doctor(table())) != []

@@ -15,8 +15,10 @@ from repro.baselines import cse_spark, vhll_spark
 from repro.core import (
     freebs_spark,
     freebs_spark_trace,
+    freebs_trace,
     freers_spark,
     freers_spark_trace,
+    freers_trace,
 )
 
 DRIVERS = {
@@ -58,6 +60,16 @@ class TestInputContract:
         message = f"ValueError: edges column '{column}' has a null value"
         with pytest.raises(PythonException, match=message):
             DRIVERS[name](edges).collect()
+
+    @pytest.mark.parametrize("column", ["user", "item"])
+    @pytest.mark.parametrize("trace", [freebs_trace, freers_trace])
+    def test_numpy_trace_rejects_a_null_naming_the_column(self, trace, column):
+        # a NaN cast to int64 would become a phantom user or item
+        edges = {"user": np.array([1.0, 3.0, 5.0]), "item": np.array([2.0, 4.0, 6.0])}
+        edges[column][1] = np.nan
+        message = f"edges column '{column}' has a null value"
+        with pytest.raises(ValueError, match=message):
+            trace(edges["user"], edges["item"], 64)
 
     @pytest.mark.parametrize("name", TRACES)
     def test_events_sharing_t_are_rejected(self, spark, name):

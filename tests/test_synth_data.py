@@ -16,25 +16,10 @@ class TestTpchLite:
         assert df["o_orderkey"].is_unique
         assert df["o_orderkey"].min() == 1
 
-    def test_customer_and_part(self, spark):
-        c = S.customer(spark, sf=0.001).toPandas()
-        p = S.part(spark, sf=0.001).toPandas()
-        assert c["c_custkey"].is_unique and p["p_partkey"].is_unique
-
     def test_deterministic_in_seed(self, spark):
         a = S.lineitem(spark, sf=0.0005, seed=3).toPandas()
         b = S.lineitem(spark, sf=0.0005, seed=3).toPandas()
         assert a.equals(b)
-
-    def test_zipf_keys_skewed(self, spark):
-        df = S.zipf_keys(spark, n=20000, n_keys=1000).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.iloc[0] > 10 * counts.median()
-
-    def test_uniform_keys_flat(self, spark):
-        df = S.uniform_keys(spark, n=20000, n_keys=100).toPandas()
-        counts = df["k"].value_counts()
-        assert counts.max() < 3 * counts.min()
 
 
 class TestGraphStream:
