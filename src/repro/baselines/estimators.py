@@ -33,9 +33,7 @@ def linear_counting(m: int, zeros: int) -> float:
     return -m * math.log(z / m)
 
 
-def hll_estimate(
-    m: int, harmonic_sum: float, zeros: int, *, small_range_correction: bool = True
-) -> float:
+def hll_estimate(m: int, harmonic_sum: float, zeros: int) -> float:
     """HLL estimate with the standard small-range correction.
 
     ``harmonic_sum`` is ``Σ_i 2^{-R[i]}``; when the raw estimate is
@@ -43,7 +41,7 @@ def hll_estimate(
     §III-A-2).
     """
     raw = alpha(m) * m * m / harmonic_sum
-    if small_range_correction and raw < 2.5 * m and zeros > 0:
+    if raw < 2.5 * m and zeros > 0:
         return linear_counting(m, zeros)
     return raw
 

@@ -17,6 +17,9 @@ as Spark Structured Streaming stateful aggregations
 * :mod:`repro.streaming.source` — a deterministic file-backed
   micro-batch edge stream (ordered parquet chunks, one file per
   trigger).
+* :mod:`repro.streaming.runner` — :func:`run_available`, the one query
+  starter (one state store per core slot); callers pass it the
+  operator module's ``OUTPUT_MODE``.
 
 All three queries read their columns through
 :func:`repro.spark_passes.edge_columns`: a null fails the query with
@@ -25,6 +28,7 @@ All three queries read their columns through
 from repro.streaming.source import read_edge_stream, write_stream_batches
 from repro.streaming.shared_sketch import freebs_stateful, freers_stateful
 from repro.streaming.per_user import hllpp_stateful
+from repro.streaming.runner import run_available
 
 __all__ = [
     "write_stream_batches",
@@ -32,4 +36,5 @@ __all__ = [
     "freebs_stateful",
     "freers_stateful",
     "hllpp_stateful",
+    "run_available",
 ]

@@ -30,6 +30,7 @@ _OUT_SCHEMA = StructType(
     [StructField("user", LongType()), StructField("estimate", DoubleType())]
 )
 _STATE_SCHEMA = StructType([StructField("regs", BinaryType())])
+OUTPUT_MODE = "update"  # a user's row is replaced by its next estimate
 
 
 def hllpp_stateful(
@@ -58,5 +59,5 @@ def hllpp_stateful(
         yield pd.DataFrame({"user": [user], "estimate": [est]})
 
     return edges.groupBy("user").applyInPandasWithState(
-        fn, _OUT_SCHEMA, _STATE_SCHEMA, "update", GroupStateTimeout.NoTimeout
+        fn, _OUT_SCHEMA, _STATE_SCHEMA, OUTPUT_MODE, GroupStateTimeout.NoTimeout
     )

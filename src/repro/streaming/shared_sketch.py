@@ -18,8 +18,12 @@ Input contract, as in the Spark batch drivers
 one micro-batch sharing ``t``, fails the query with ``ValueError``.
 
 State size is ``M/8`` bytes (FreeBS) or ``M`` bytes (FreeRS): a few
-hundred KB at the paper's M, well inside state-store limits. The output
-is the trace of accepted events ``(t, user, contrib)`` in append mode;
+hundred KB at the paper's M, well inside state-store limits. The one
+group lives in one state store, but Spark loads and commits every store
+of the query on each micro-batch, so start these queries with
+:func:`~repro.streaming.runner.run_available`, which makes one store per
+core slot rather than one per shuffle partition. The output is the
+trace of accepted events ``(t, user, contrib)`` in ``OUTPUT_MODE``;
 per-user estimates are its running sums, exactly as in batch.
 """
 from __future__ import annotations
@@ -36,6 +40,8 @@ from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 from repro.core.freebs import freebs_absorb
 from repro.core.freers import freers_absorb
 from repro.spark_passes import TRACE_SCHEMA, edge_columns, t_order
+
+OUTPUT_MODE = "append"  # each trace row is final when emitted
 
 
 def _stateful(
@@ -65,13 +71,13 @@ def _stateful(
         edges.withColumn("g", F.lit(0))
         .groupBy("g")
         .applyInPandasWithState(
-            fn, TRACE_SCHEMA, state_schema, "append", GroupStateTimeout.NoTimeout
+            fn, TRACE_SCHEMA, state_schema, OUTPUT_MODE, GroupStateTimeout.NoTimeout
         )
     )
 
 
 def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
-    """Streaming FreeBS: trace of accepted events, append mode."""
+    """Streaming FreeBS: trace of accepted events (``OUTPUT_MODE``)."""
     return _stateful(
         edges,
         "packed binary, m0 long",
@@ -88,7 +94,7 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
 def freers_stateful(
     edges: DataFrame, M: int, seed: int = 0, w: int = 5
 ) -> DataFrame:
-    """Streaming FreeRS: trace of accepted events, append mode."""
+    """Streaming FreeRS: trace of accepted events (``OUTPUT_MODE``)."""
     return _stateful(
         edges,
         "regs binary, hsum double",

@@ -67,23 +67,6 @@ class TestFreeBsSpark:
         np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-9)
         assert got.index.equals(want.index)
 
-    def test_partitioning_invariant(self, spark):
-        # shuffling the physical layout must not change the result
-        pdf = _stream_pdf(20, 300, 2000, 3)
-        a = (
-            freebs_spark(spark.createDataFrame(pdf).repartition(13), 512)
-            .toPandas()
-            .set_index("user")["estimate"]
-            .sort_index()
-        )
-        b = (
-            freebs_spark(spark.createDataFrame(pdf).coalesce(1), 512)
-            .toPandas()
-            .set_index("user")["estimate"]
-            .sort_index()
-        )
-        pd.testing.assert_series_equal(a, b)
-
 
 class TestFreeRsSpark:
     @pytest.mark.parametrize("M", [128, 2048])
