@@ -1,15 +1,16 @@
 """The paper's primary contribution: FreeBS and FreeRS (§IV).
 
 Each estimator has one pure kernel, ``*_absorb(state, t, users, items)
--> (trace, state')`` with the state ``(B, m0)`` resp. ``(R, S)``, and
-its event weights ``flip_contrib``/``record_contrib``. Three thin
-adapters drive them, proven equivalent by the tests:
+-> (trace, state')`` with the state ``(B, m0)`` resp. ``(R, S)``, whose
+empty value ``*_empty(M)`` builds. Three thin adapters drive the
+kernels, proven equivalent by the tests:
 
-* ``*_trace`` — numpy: the kernel on a fresh state (DESIGN.md §2); used
-  by the evaluation harnesses.
-* ``*_spark`` — Spark batch: one ``mapInPandas`` hash pass with one
-  task per core slot, a JVM dedupe, and one ordered task over the
-  events that applies the event weights (DESIGN.md §2).
+* ``*_trace`` — numpy: the kernel on an empty state (DESIGN.md §2);
+  used by the evaluation harnesses.
+* ``*_spark`` — Spark batch: the kernel twice, each time on an empty
+  state: per task in one ``mapInPandas`` hash pass with one task per
+  core slot, then in one ordered task over the union of the tasks'
+  events (DESIGN.md §2).
 * :mod:`repro.streaming.shared_sketch` — Structured Streaming: the
   kernel on the state carried between micro-batches.
 
@@ -18,6 +19,7 @@ over the stream): the test oracle and the runtime benchmark.
 """
 from repro.core.freebs import (
     freebs_absorb,
+    freebs_empty,
     freebs_sequential,
     freebs_spark,
     freebs_spark_trace,
@@ -25,6 +27,7 @@ from repro.core.freebs import (
 )
 from repro.core.freers import (
     freers_absorb,
+    freers_empty,
     freers_sequential,
     freers_spark,
     freers_spark_trace,
@@ -33,11 +36,13 @@ from repro.core.freers import (
 
 __all__ = [
     "freebs_absorb",
+    "freebs_empty",
     "freebs_sequential",
     "freebs_trace",
     "freebs_spark",
     "freebs_spark_trace",
     "freers_absorb",
+    "freers_empty",
     "freers_sequential",
     "freers_trace",
     "freers_spark",

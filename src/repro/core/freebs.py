@@ -10,13 +10,13 @@ once — at the earliest arrival hashing to it — and if flip events are
 ranked ``k = 1, 2, …`` by arrival time, the k-th flip sees
 ``m0 = M-(k-1)`` zeros and therefore contributes ``M/(M-k+1)``.
 :func:`freebs_absorb` is that rule as one kernel over a state
-``(B, m0)``; the numpy trace and the streaming query run it, and the
-Spark ordered pass shares its :func:`flip_contrib` weights.
+``(B, m0)``, starting from :func:`freebs_empty`; the numpy trace, the
+streaming query and both Spark passes run it.
 
-On Spark, Python hashes the edges in one pass with one task per core
-slot, a JVM ``groupBy(bit)`` keeps each bit's earliest arrival, and one
-ordered task ranks those flip events and sums them per user
-(:mod:`repro.spark_passes`).
+On Spark, each hash-pass task (one per core slot) absorbs its own edges
+and keeps its flips, and one ordered task absorbs the union of those
+flips, ranks them and sums them per user (:mod:`repro.spark_passes`):
+the earliest arrival at a bit is also the earliest in its task.
 
 The *trace* of a run is the DataFrame of accepted (bit-flipping) events
 ``(t, user, contrib)`` sorted by ``t``; a user's estimate at any time T
@@ -25,7 +25,7 @@ the anytime-available evaluation (Fig. 6) a cumulative sum.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -33,11 +33,9 @@ from pyspark.sql import DataFrame
 
 from repro.hashing import h_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
+    absorb_passes,
     edge_column,
     estimates_from_trace,
-    first_arrival,
-    map_edges,
-    ordered_pass,
 )
 
 
@@ -66,17 +64,20 @@ def freebs_sequential(
     )
 
 
-def flip_contrib(n_events: int, M: int, m0: int | None = None) -> np.ndarray:
+def flip_contrib(n_events: int, M: int, m0: int) -> np.ndarray:
     """Contributions ``M/m0`` of the next ``n_events`` flips.
 
-    The array has ``m0`` zero bits before the first of them (default
-    ``M``: an empty array), so flip ``k`` (1-based) sees ``m0-k+1``;
-    integer-valued floats, so the quotient equals ``M/(m0-k+1)``
-    evaluated any other way.
+    The array has ``m0`` zero bits before the first of them, so flip
+    ``k`` (1-based) sees ``m0-k+1``; integer-valued floats, so the
+    quotient equals ``M/(m0-k+1)`` evaluated any other way.
     """
-    m0 = M if m0 is None else m0
     zeros = np.arange(m0, m0 - n_events, -1, dtype=np.float64)
     return np.divide(M, zeros, out=zeros)
+
+
+def freebs_empty(M: int) -> tuple[np.ndarray, int]:
+    """The state ``(B, m0)`` of an empty array of ``M`` bits."""
+    return np.zeros(M, dtype=bool), M
 
 
 def freebs_absorb(
@@ -120,46 +121,25 @@ def freebs_trace(
     users = edge_column(users, "user")
     items = edge_column(items, "item")
     t = np.arange(len(users), dtype=np.int64)
-    trace, _ = freebs_absorb((np.zeros(M, dtype=bool), M), t, users, items, seed)
+    trace, _ = freebs_absorb(freebs_empty(M), t, users, items, seed)
     return trace
-
-
-def _flip_events(edges: DataFrame, M: int, seed: int) -> DataFrame:
-    """Flip events ``(t, user)``: the earliest arrival at each bit.
-
-    Python only hashes (:func:`map_edges`); the dedupe is a JVM
-    ``groupBy(bit)`` keeping the smallest ``t`` and its user.
-    """
-
-    def bits(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
-        for t, users, items in batches:
-            yield pd.DataFrame(
-                {"t": t, "user": users, "bit": h_star(users, items, M, seed=seed)}
-            )
-
-    return (
-        map_edges(edges, ("t", "user", "item"), bits, "t long, user long, bit long")
-        .groupBy("bit")
-        .agg(*first_arrival())
-        .select("t", "user")
-    )
 
 
 def freebs_spark_trace(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """FreeBS on Spark: trace DataFrame ``(t, user, contrib)``.
 
     ``edges`` must have columns ``t`` (unique arrival index), ``user``,
-    ``item``, none of them null. The flip events are ranked and weighted
-    by :func:`flip_contrib` in one ordered task, the same numpy kernel as
-    :func:`freebs_trace`, so the trace is bit-identical to it. That task
-    sees only events (at most M rows): the exact formulation's
-    scalability boundary.
+    ``item``, none of them null; a repeated ``t`` raises ``ValueError``.
+    Both passes run :func:`freebs_absorb`, the kernel of
+    :func:`freebs_trace`, so the trace is bit-identical to it. The
+    ordered task sees only the tasks' flips (at most M per task): the
+    exact formulation's scalability boundary.
     """
-    events = _flip_events(edges, M, seed)
-    return ordered_pass(events, lambda ev: flip_contrib(len(ev), M), per_user=False)
+    absorb = partial(freebs_absorb, seed=seed)
+    return absorb_passes(edges, absorb, partial(freebs_empty, M), per_user=False)
 
 
 def freebs_spark(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     """FreeBS on Spark: final per-user estimates ``(user, estimate)``."""
-    events = _flip_events(edges, M, seed)
-    return ordered_pass(events, lambda ev: flip_contrib(len(ev), M), per_user=True)
+    absorb = partial(freebs_absorb, seed=seed)
+    return absorb_passes(edges, absorb, partial(freebs_empty, M), per_user=True)

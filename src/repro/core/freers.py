@@ -14,31 +14,28 @@ are running-max records within each register's sub-stream; each record
 perturbs ``S`` by ``Δ = 2^-ρ − 2^-prev``; a cumulative sum of Δ in
 arrival order recovers the pre-event ``S`` and hence the contribution
 ``M/S``. :func:`freers_absorb` is that rule as one kernel over a state
-``(R, S)``; the numpy trace and the streaming query run it, and the
-Spark ordered pass shares its last step (:func:`record_contrib`).
+``(R, S)``, starting from :func:`freers_empty`; the numpy trace, the
+streaming query and both Spark passes run it.
 
-On Spark, Python hashes the edges in one pass with one task per core
-slot, the JVM finds the records (first arrival per register value, then
-a running max per register over those candidates), and one ordered task
-applies :func:`record_contrib` and sums per user
-(:mod:`repro.spark_passes`).
+On Spark, each hash-pass task (one per core slot) absorbs its own edges
+and keeps its records, and one ordered task absorbs the union of those
+records, applies :func:`record_contrib` and sums per user
+(:mod:`repro.spark_passes`): a global record beats every earlier edge,
+so it is also a record in its task.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from functools import partial
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.hashing import h_star, rho_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
+    absorb_passes,
     edge_column,
     estimates_from_trace,
-    first_arrival,
-    map_edges,
-    ordered_pass,
 )
 
 _POW2 = np.ldexp(1.0, -np.arange(256))  # 2^-v for every uint8 register value
@@ -76,19 +73,21 @@ def _moves(rho: np.ndarray, prev: np.ndarray) -> np.ndarray:
     return _POW2[rho] - _POW2[prev]
 
 
-def record_contrib(
-    rho: np.ndarray, prev: np.ndarray, M: int, S: float | None = None
-) -> np.ndarray:
+def record_contrib(rho: np.ndarray, prev: np.ndarray, M: int, S: float) -> np.ndarray:
     """Contributions ``M/S_pre`` of records in arrival order.
 
     Record i moves ``S`` by ``2^-rho[i] - 2^-prev[i]``; ``S_pre`` is the
-    sum before the first record (``S``, default ``M``: an empty array)
-    plus the earlier moves.
+    sum before the first record (``S``) plus the earlier moves.
     """
     delta = _moves(rho, prev)
     earlier = np.zeros_like(delta)  # sum of the earlier moves
     np.cumsum(delta[:-1], out=earlier[1:])
-    return M / ((float(M) if S is None else S) + earlier)
+    return M / (S + earlier)
+
+
+def freers_empty(M: int) -> tuple[np.ndarray, float]:
+    """The state ``(R, S)`` of an empty array of ``M`` registers."""
+    return np.zeros(M, dtype=np.uint8), float(M)
 
 
 def freers_absorb(
@@ -153,54 +152,8 @@ def freers_trace(
     users = edge_column(users, "user")
     items = edge_column(items, "item")
     t = np.arange(len(users), dtype=np.int64)
-    state = (np.zeros(M, dtype=np.uint8), float(M))
-    trace, _ = freers_absorb(state, t, users, items, seed, w)
+    trace, _ = freers_absorb(freers_empty(M), t, users, items, seed, w)
     return trace
-
-
-def _record_events(edges: DataFrame, M: int, seed: int, w: int) -> DataFrame:
-    """Register-change events ``(t, user, rho, prev)``.
-
-    Python only hashes (:func:`map_edges`). In the JVM, a register's
-    value ``ρ`` can first appear only at the earliest arrival carrying
-    it, so ``groupBy(reg, rho)`` keeping the smallest ``t`` and its user
-    leaves the candidates (at most ``cap`` per register); a running max
-    over each register's candidates in ``t`` order gives ``prev`` and
-    keeps the records ``ρ > prev``.
-    """
-    cap = (1 << w) - 1
-
-    def ranks(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
-        for t, users, items in batches:
-            yield pd.DataFrame(
-                {
-                    "t": t,
-                    "user": users,
-                    "reg": h_star(users, items, M, seed=seed),
-                    "rho": rho_star(users, items, cap=cap, seed=seed),
-                }
-            )
-
-    before = (
-        Window.partitionBy("reg")
-        .orderBy("t")
-        .rowsBetween(Window.unboundedPreceding, -1)
-    )
-    return (
-        map_edges(
-            edges, ("t", "user", "item"), ranks, "t long, user long, reg long, rho long"
-        )
-        .repartition("reg")  # one shuffle serves both the dedupe and the window
-        .groupBy("reg", "rho")
-        .agg(*first_arrival())
-        .withColumn("prev", F.coalesce(F.max("rho").over(before), F.lit(0)))
-        .filter(F.col("rho") > F.col("prev"))
-        .select("t", "user", "rho", "prev")
-    )
-
-
-def _contrib(M: int):
-    return lambda ev: record_contrib(ev["rho"].to_numpy(), ev["prev"].to_numpy(), M)
 
 
 def freers_spark_trace(
@@ -209,15 +162,14 @@ def freers_spark_trace(
     """FreeRS on Spark: trace DataFrame ``(t, user, contrib)``.
 
     Same input contract as :func:`repro.core.freebs.freebs_spark_trace`.
-    One ordered task runs :func:`record_contrib` over the records, the
-    same numpy kernel as :func:`freers_trace`, so the trace is
-    bit-identical to it.
+    Both passes run :func:`freers_absorb`, the kernel of
+    :func:`freers_trace`, so the trace is bit-identical to it.
     """
-    events = _record_events(edges, M, seed, w)
-    return ordered_pass(events, _contrib(M), per_user=False)
+    absorb = partial(freers_absorb, seed=seed, w=w)
+    return absorb_passes(edges, absorb, partial(freers_empty, M), per_user=False)
 
 
 def freers_spark(edges: DataFrame, M: int, seed: int = 0, w: int = 5) -> DataFrame:
     """FreeRS on Spark: final per-user estimates ``(user, estimate)``."""
-    events = _record_events(edges, M, seed, w)
-    return ordered_pass(events, _contrib(M), per_user=True)
+    absorb = partial(freers_absorb, seed=seed, w=w)
+    return absorb_passes(edges, absorb, partial(freers_empty, M), per_user=True)

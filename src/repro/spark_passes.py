@@ -8,19 +8,22 @@ therefore keep their Python tasks to:
 * :func:`map_edges` — one Arrow ``mapInPandas`` pass over the edges with
   at most one task per core slot (``coalesce(defaultParallelism)``).
   It also checks the input contract: a null in a column the pass reads
-  raises ``ValueError`` naming the column.
-* :func:`ordered_pass` — FreeBS/FreeRS's one task over the deduplicated
-  events (at most one per bit/register change, never all edges). It
-  sorts them by ``t``, rejects a repeated ``t`` with ``ValueError`` (the
-  event rank would depend on tie order), applies the estimator's
-  contribution kernel and, for estimates, sums per user, all in numpy.
+  raises ``ValueError`` naming the column. FreeBS/FreeRS keep each
+  task's local events there (:func:`local_events`); CSE/vHLL build one
+  array per task.
+* FreeBS/FreeRS's ordered pass (:func:`absorb_passes`) — one task over
+  the union of the local events, absorbed again into a fresh sketch.
+  The local events cross the shuffle packed: a few rows of raw int64
+  bytes per task, not one row per event.
 
-Everything between the two (the per-bit/per-register dedupe) runs in
-the JVM. On Spark the ``ValueError`` is raised in the Python worker and
-reaches the caller as a ``PythonException`` carrying its message. The
-streaming queries check the same contract with the same helpers
-(:func:`edge_columns`, :func:`t_order`), and the numpy traces check
-their inputs with :func:`edge_column`.
+Both FreeBS/FreeRS passes run the estimator's one kernel through
+:func:`absorb_in_t_order`, which sorts by ``t`` and rejects a repeated
+``t`` with ``ValueError`` (an event would depend on tie order). On Spark
+the ``ValueError`` is raised in the Python worker and reaches the caller
+as a ``PythonException`` carrying its message. The streaming queries
+check the same contract with the same helpers (:func:`edge_columns`,
+:func:`absorb_in_t_order`), and the numpy traces check their inputs with
+:func:`edge_column`.
 """
 from __future__ import annotations
 
@@ -28,20 +31,16 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 TRACE_SCHEMA = "t long, user long, contrib double"
 ESTIMATE_SCHEMA = "user long, estimate double"
+EDGE_COLUMNS = ("t", "user", "item")
+# events per packed row: an 8 MiB cell, far below Spark's 2 GiB row limit
+PACKED_ROW = 1 << 20
 
-
-def first_arrival() -> list[Column]:
-    """Aggregates keeping a group's earliest arrival ``(t, user)``.
-
-    ``t`` is unique, so the user is well defined; unlike
-    ``min(struct(t, user))`` these run as a hash aggregate.
-    """
-    return [F.min("t").alias("t"), F.min_by("user", "t").alias("user")]
+# absorb(state, t, users, items) -> (trace, state'), as freebs_absorb
+Absorb = Callable[..., tuple[pd.DataFrame, tuple]]
 
 
 def edge_column(values, name: str) -> np.ndarray:
@@ -61,17 +60,32 @@ def edge_columns(pdf: pd.DataFrame, names: Sequence[str]) -> list[np.ndarray]:
     return [edge_column(pdf[name].to_numpy(), name) for name in names]
 
 
-def t_order(t: np.ndarray) -> np.ndarray:
-    """The stable permutation sorting ``t``; ``ValueError`` on a repeat.
+def absorb_in_t_order(
+    absorb: Absorb, state: tuple, t: np.ndarray, users: np.ndarray, items: np.ndarray
+) -> tuple[pd.DataFrame, tuple]:
+    """``absorb`` the edges into ``state`` sorted by ``t``.
 
-    A repeated ``t`` would make an event's rank depend on tie order.
+    A repeated ``t`` raises ``ValueError``: an event's rank would depend
+    on tie order.
     """
     order = np.argsort(t, kind="stable")
     ts = t[order]
     dup = ts[1:][ts[1:] == ts[:-1]]
     if len(dup):
         raise ValueError(f"two events share t={dup[0]}; t must be unique")
-    return order
+    return absorb(state, ts, users[order], items[order])
+
+
+def local_events(
+    absorb: Absorb, state: tuple, t: np.ndarray, users: np.ndarray, items: np.ndarray
+) -> list[np.ndarray]:
+    """The ``(t, user, item)`` columns of the events of these edges alone.
+
+    The edges are absorbed in ``t`` order into ``state``, a fresh sketch.
+    """
+    trace, _ = absorb_in_t_order(absorb, state, t, users, items)
+    rows = pd.Index(t).get_indexer(trace["t"])  # t is unique
+    return [t[rows], users[rows], items[rows]]
 
 
 def estimates_from_trace(trace: pd.DataFrame) -> pd.Series:
@@ -98,33 +112,49 @@ def map_edges(
     return edges.select(*columns).coalesce(slots).mapInPandas(run, schema)
 
 
-def ordered_pass(
-    events: DataFrame,
-    contrib: Callable[[pd.DataFrame], np.ndarray],
-    per_user: bool,
+def absorb_passes(
+    edges: DataFrame, absorb: Absorb, empty: Callable[[], tuple], per_user: bool
 ) -> DataFrame:
-    """One task over all events in ``t`` order.
+    """``absorb`` twice, each time into a fresh sketch ``empty()``.
 
-    ``contrib`` maps the ``t``-sorted events to their contributions.
-    Returns the trace ``(t, user, contrib)``, or with ``per_user`` the
-    per-user sums ``(user, estimate)``.
+    The hash pass keeps each task's :func:`local_events`; one ordered
+    task absorbs their union and returns the trace ``(t, user, contrib)``,
+    or with ``per_user`` the per-user sums ``(user, estimate)``. The
+    local events travel as raw int64 bytes, ``PACKED_ROW`` to a row, so
+    the JVM moves a few rows per task instead of one per event. An event
+    depends on arrival order alone, so a global event is also an event
+    in its task, and an edge beaten by an earlier edge is also beaten by
+    a local event at or before that edge: the union has the events, the
+    state changes and the contributions of the one-shot trace, bit for
+    bit (DESIGN.md §2).
     """
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+    def hash_pass(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
+        chunks = list(batches)
+        if chunks:
+            columns = map(np.concatenate, zip(*chunks))
+            events = local_events(absorb, empty(), *columns)
+            cuts = range(0, len(events[0]), PACKED_ROW)
+            yield pd.DataFrame(
+                {
+                    name: [e[i : i + PACKED_ROW].tobytes() for i in cuts]
+                    for name, e in zip(EDGE_COLUMNS, events)
+                }
+            )
+
+    def ordered_pass(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         chunks = [b for b in batches if len(b)]
         if not chunks:
             return
-        ev = pd.concat(chunks, ignore_index=True)
-        ev = ev.iloc[t_order(ev["t"].to_numpy())]
-        t = ev["t"].to_numpy()
-        trace = pd.DataFrame(
-            {"t": t, "user": ev["user"].to_numpy(), "contrib": contrib(ev)}
-        )
+        rows = pd.concat(chunks, ignore_index=True)
+        union = [np.frombuffer(b"".join(rows[c]), dtype=np.int64) for c in EDGE_COLUMNS]
+        trace, _ = absorb_in_t_order(absorb, empty(), *union)
         if per_user:
             sums = estimates_from_trace(trace)
             yield pd.DataFrame({"user": sums.index, "estimate": sums.to_numpy()})
         else:
             yield trace
 
+    events = map_edges(edges, EDGE_COLUMNS, hash_pass, "t binary, user binary, item binary")
     schema = ESTIMATE_SCHEMA if per_user else TRACE_SCHEMA
-    return events.repartition(1).mapInPandas(run, schema)
+    return events.repartition(1).mapInPandas(ordered_pass, schema)

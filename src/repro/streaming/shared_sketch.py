@@ -5,9 +5,10 @@ see the array left by all earlier edges, so the stream is grouped under
 a single constant key and the whole sketch lives in that group's state
 (``applyInPandasWithState``): the packed bit/register array plus the
 O(1) bookkeeping (``m0`` resp. the register sum ``S``). This module is
-only the streaming adapter: it decodes that state, absorbs the
-micro-batch in ``t`` order with the estimator's one kernel
-(:func:`~repro.core.freebs.freebs_absorb`,
+only the streaming adapter: it decodes that state (or takes the
+estimator's empty one), absorbs the micro-batch in ``t`` order
+(:func:`~repro.spark_passes.absorb_in_t_order`) with the estimator's
+one kernel (:func:`~repro.core.freebs.freebs_absorb`,
 :func:`~repro.core.freers.freers_absorb`) and encodes the new state.
 The kernel absorbs a stream in chunks exactly as at once, so a
 streaming run equals a batch run over the concatenated stream
@@ -37,9 +38,14 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.streaming.state import GroupState, GroupStateTimeout
 
-from repro.core.freebs import freebs_absorb
-from repro.core.freers import freers_absorb
-from repro.spark_passes import TRACE_SCHEMA, edge_columns, t_order
+from repro.core.freebs import freebs_absorb, freebs_empty
+from repro.core.freers import freers_absorb, freers_empty
+from repro.spark_passes import (
+    EDGE_COLUMNS,
+    TRACE_SCHEMA,
+    absorb_in_t_order,
+    edge_columns,
+)
 
 OUTPUT_MODE = "append"  # each trace row is final when emitted
 
@@ -61,9 +67,8 @@ def _stateful(
     ) -> Iterator[pd.DataFrame]:
         sketch = decode(*state.get) if state.exists else fresh()
         pdf = pd.concat(list(pdfs), ignore_index=True)
-        t, users, items = edge_columns(pdf, ("t", "user", "item"))
-        order = t_order(t)
-        trace, sketch = absorb(sketch, t[order], users[order], items[order])
+        columns = edge_columns(pdf, EDGE_COLUMNS)
+        trace, sketch = absorb_in_t_order(absorb, sketch, *columns)
         state.update(encode(*sketch))
         yield trace
 
@@ -81,7 +86,7 @@ def freebs_stateful(edges: DataFrame, M: int, seed: int = 0) -> DataFrame:
     return _stateful(
         edges,
         "packed binary, m0 long",
-        lambda: (np.zeros(M, dtype=bool), M),
+        partial(freebs_empty, M),
         lambda packed, m0: (
             np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=M).astype(bool),
             m0,
@@ -98,7 +103,7 @@ def freers_stateful(
     return _stateful(
         edges,
         "regs binary, hsum double",
-        lambda: (np.zeros(M, dtype=np.uint8), float(M)),
+        partial(freers_empty, M),
         lambda regs, S: (np.frombuffer(regs, dtype=np.uint8).copy(), S),
         lambda R, S: (R.tobytes(), float(S)),
         partial(freers_absorb, seed=seed, w=w),

@@ -1,13 +1,26 @@
 """Property-based tests (hypothesis) for the exact core invariants."""
+from functools import partial
+
 import numpy as np
 import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.freebs import freebs_absorb, freebs_sequential, freebs_trace
-from repro.core.freers import freers_absorb, freers_sequential, freers_trace
+from repro.core.freebs import (
+    freebs_absorb,
+    freebs_empty,
+    freebs_sequential,
+    freebs_trace,
+)
+from repro.core.freers import (
+    freers_absorb,
+    freers_empty,
+    freers_sequential,
+    freers_trace,
+)
 from repro.hashing import h_star, rho_star
+from repro.spark_passes import absorb_in_t_order, local_events
 
 streams = st.integers(1, 400).flatmap(
     lambda n: st.tuples(
@@ -101,12 +114,8 @@ adversarial_streams = st.one_of(
     streams.map(lambda d: (d[0][:1] * len(d[0]), d[1][:1] * len(d[1]), d[2], d[3])),
 )
 FRESH = {
-    "freebs": (freebs_absorb, freebs_trace, lambda M: (np.zeros(M, dtype=bool), M)),
-    "freers": (
-        freers_absorb,
-        freers_trace,
-        lambda M: (np.zeros(M, dtype=np.uint8), float(M)),
-    ),
+    "freebs": (freebs_absorb, freebs_trace, freebs_empty),
+    "freers": (freers_absorb, freers_trace, freers_empty),
 }
 
 
@@ -131,3 +140,28 @@ def test_absorbing_in_chunks_equals_one_shot(estimator, data, cuts):
         trace(u, i, M, seed=seed),
         check_exact=True,
     )
+
+
+@pytest.mark.parametrize("estimator", FRESH)
+@settings(max_examples=60, deadline=None)
+@given(adversarial_streams, st.data())
+def test_absorbing_the_union_of_local_events_equals_one_shot(estimator, data, extra):
+    """The Spark plan's merge: split the stream into up to 5 groups, in
+    any order and not contiguous in t, take each group's local events as
+    a hash-pass task does, and absorb their union in t order: the
+    one-shot trace, bit for bit."""
+    absorb, trace, fresh = FRESH[estimator]
+    users, items, M, seed = data
+    n = len(users)
+    u, i, t = np.array(users), np.array(items), np.arange(n)
+    # the order a task reads its rows in
+    arrival = np.random.default_rng(extra.draw(st.integers(0, 1 << 30))).permutation(n)
+    group = np.array(extra.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    kernel = partial(absorb, seed=seed)
+    events = []
+    for g in range(5):
+        rows = arrival[group[arrival] == g]
+        events.append(local_events(kernel, fresh(M), t[rows], u[rows], i[rows]))
+    union = [np.concatenate(column) for column in zip(*events)]
+    got, _ = absorb_in_t_order(kernel, fresh(M), *union)
+    pd.testing.assert_frame_equal(got, trace(u, i, M, seed=seed), check_exact=True)

@@ -20,6 +20,7 @@ from repro.core import (
     freers_spark_trace,
     freers_trace,
 )
+from repro.spark_passes import estimates_from_trace
 
 DRIVERS = {
     "freebs": lambda e: freebs_spark(e, 512),
@@ -80,6 +81,16 @@ class TestInputContract:
         with pytest.raises(PythonException, match="ValueError: two events share t=7"):
             DRIVERS[name](edges).collect()
 
+    @pytest.mark.parametrize("partitions", [1, 2, 3])
+    @pytest.mark.parametrize("estimates", [freebs_spark, freers_spark])
+    def test_edges_sharing_t_are_rejected_in_one_bit(
+        self, spark, estimates, partitions
+    ):
+        # M = 1: the second edge is no event, whichever comes first
+        edges = spark.createDataFrame([(7, 1, 2), (7, 3, 4)], EDGE_SCHEMA)
+        with pytest.raises(PythonException, match="ValueError: two events share t=7"):
+            estimates(edges.repartition(partitions), 1).collect()
+
 
 class TestPartitioningInvariance:
     @pytest.mark.parametrize("name", DRIVERS)
@@ -93,6 +104,24 @@ class TestPartitioningInvariance:
         assert len(runs[0]) == pdf["user"].nunique()
         for other in runs[1:]:
             pd.testing.assert_series_equal(runs[0], other, check_exact=True)
+
+    @pytest.mark.parametrize(
+        "estimates, trace", [(freebs_spark, freebs_trace), (freers_spark, freers_trace)]
+    )
+    def test_duplicate_only_stream_equals_numpy_on_1_3_and_13_partitions(
+        self, spark, estimates, trace
+    ):
+        # one pair repeated into M = 8: every task has a local event,
+        # only the earliest is an event of the stream
+        pdf = pd.DataFrame({"t": np.arange(40), "user": 3, "item": 5})
+        want = estimates_from_trace(
+            trace(pdf["user"].to_numpy(), pdf["item"].to_numpy(), 8)
+        )
+        for n in (1, 3, 13):
+            got = _estimates(estimates(spark.createDataFrame(pdf).repartition(n), 8))
+            pd.testing.assert_series_equal(
+                got, want, check_exact=True, check_names=False
+            )
 
 
 class TestEmptyInput:
