@@ -214,7 +214,7 @@ def measure_update_ns(
     """Mean per-edge update+estimate time (ns) of the sequential loop.
 
     The Fig. 3 protocol: same harness for every method; for the O(m)
-    methods the estimate step enumerates the m bits/registers of the
+    methods the estimate step reads the m bits/registers of the
     arriving user's (virtual) sketch, as in the paper's implementations.
     FreeBS/FreeRS take no m (their O(1) loop is Algorithm 1/2).
     """
@@ -223,9 +223,7 @@ def measure_update_ns(
     if method in FREE_METHODS:
         FREE_METHODS[method][1](users, items, M, seed=seed)
     else:
-        make_sketch(method, M, m, seed).run(
-            users, items, enumerate_state=method in PER_USER_WIDTH
-        )
+        make_sketch(method, M, m, seed).run(users, items)
     return (time.perf_counter() - start) / len(users) * 1e9
 
 

@@ -11,16 +11,16 @@
   [Xiao et al. 2015].
 
 All four run the paper's evaluation protocol (§V-B: one counter per
-user, updated on that user's arrivals) through one tracked-counter
+user, refreshed on that user's arrivals) through one tracked-counter
 ``run``/``final_estimates``
-(:class:`~repro.baselines.estimators.TrackedCounters`); each sketch adds
-only its hashing and its per-edge ``update``. CSE and vHLL share the
-virtual-sketch base :class:`~repro.baselines.virtual.VirtualSketch`
-(memoized ``f_1(s)..f_m(s)``, ``end_state_estimates``; O(m) per edge)
-and a Spark batch end-state estimator (per-task arrays from one
-``mapInPandas`` pass over the edges, reduced on the driver; per-user
-estimates via blocked ``mapInPandas`` reads of the broadcast array,
-:mod:`repro.baselines.virtual`).
+(:class:`~repro.baselines.estimators.TrackedCounters`). Each sketch adds
+its hashing, its per-edge ``update`` and one read-out from the user's m
+cells to its estimate, which every update runs (O(m) per edge, as
+Fig. 3 measures). CSE and vHLL share the virtual-sketch base
+:class:`~repro.baselines.virtual.VirtualSketch`: memoized
+``f_1(s)..f_m(s)``, a read-out over one user's row or a block of users,
+and the Spark batch end-state driver
+:func:`~repro.baselines.virtual.virtual_spark`.
 """
 from repro.baselines.estimators import alpha, linear_counting
 from repro.baselines.lpc import LpcPerUser

@@ -13,38 +13,27 @@ push small users negative) and the linear-counting terms saturate at
 zero-count 1, so the estimation range is ``m ln m`` — the collapse the
 paper shows for large-cardinality users.
 
-Two layers:
+Two layers on the virtual-sketch base shared with vHLL
+(:class:`~repro.baselines.virtual.VirtualSketch`):
 
 * :class:`CseSketch` — sequential tracked-counter run (the paper's
-  evaluation protocol; O(m) per edge re-estimating the arriving user)
-  on the virtual-sketch base shared with vHLL
-  (:class:`~repro.baselines.virtual.VirtualSketch`).
-* :func:`cse_spark` — Spark batch: the final array state is the OR of
-  per-task bit arrays built in one Python pass over the edges;
-  per-user end-state estimates are blocked ``mapInPandas`` reads of the
-  broadcast array (:mod:`repro.baselines.virtual`).
+  evaluation protocol; O(m) per edge re-estimating the arriving user).
+* :func:`cse_spark` — Spark batch end-of-stream estimates
+  (:func:`~repro.baselines.virtual.virtual_spark`).
+
+Both read a user through the one read-out: the virtual zero count, then
+:func:`cse_estimate`.
 """
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from functools import partial
 
 import numpy as np
-import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.baselines.virtual import (
-    VirtualSketch,
-    virtual_cells,
-    virtual_estimates_spark,
-)
-from repro.spark_passes import map_edges
-
-
-# set bits in each byte value 0..255
-_ONES_PER_BYTE = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8
-)
+from repro.baselines.estimators import bitmap_zeros
+from repro.baselines.virtual import VirtualSketch, virtual_spark
 
 
 def cse_estimate(M: int, m: int, virtual_zeros: int, U: int) -> float:
@@ -60,15 +49,30 @@ class CseSketch(VirtualSketch):
     def __init__(self, M: int, m: int, seed: int = 0):
         if not 1 <= m <= M:
             raise ValueError("need 1 <= m <= M")
-        super().__init__(M, m, seed)
-        self.A = np.zeros(self.M, dtype=bool)
+        super().__init__(M, m, seed, np.zeros(int(M), dtype=bool))
         self.U = self.M  # global zero count
 
-    def estimate(self, s: int) -> float:
-        """End-state CSE estimate for user s from the current array."""
-        idx = self._user_idx(s)
-        virtual_zeros = int(self.m - self.A[idx].sum())
-        return cse_estimate(self.M, self.m, virtual_zeros, self.U)
+    @property
+    def A(self) -> np.ndarray:
+        """The shared bit array (the paper's name for ``cells``)."""
+        return self.cells
+
+    def __getstate__(self) -> dict:
+        # pickled (for Spark) with the bits packed, 8 to a byte
+        return dict(self.__dict__, cells=np.packbits(self.cells))
+
+    def __setstate__(self, state: dict) -> None:
+        bits = np.unpackbits(state["cells"], count=state["M"])
+        self.__dict__.update(state, cells=bits.view(bool))
+
+    def _stats(self, cells: np.ndarray) -> tuple[np.ndarray]:
+        return (bitmap_zeros(cells),)
+
+    def _formula(self, virtual_zeros: int) -> float:
+        return cse_estimate(self.M, self.m, int(virtual_zeros), self.U)
+
+    def _recount(self) -> None:
+        self.U = int(bitmap_zeros(self.A))
 
     def update(self, s: int, pos: int) -> None:
         """Set bit ``pos`` (= ``f_{h(d)}(s)``) and refresh s's counter."""
@@ -79,32 +83,6 @@ class CseSketch(VirtualSketch):
 
 
 def cse_spark(edges: DataFrame, M: int, m: int, seed: int = 0) -> DataFrame:
-    """CSE on Spark: end-of-stream estimates ``(user, estimate)``.
-
-    The final array state is order-independent (a union of set bits), so
-    it distributes cleanly: one Python pass over the edges (one task per
-    core slot) sets each task's bits in a local M-bit array, the driver
-    ORs the packed arrays, and every user's virtual sketch is read
-    straight from the packed result (:func:`virtual_estimates_spark`).
-    A virtual zero count maps to its estimate through a table of
-    :func:`cse_estimate` over ``0..m``, so the result equals the
-    sequential sketch's exactly.
-    """
-
-    def set_bits(batches: Iterator[list[np.ndarray]]) -> Iterator[pd.DataFrame]:
-        A = np.zeros(M, dtype=bool)
-        for users, items in batches:
-            A[virtual_cells(users, items, M, m, seed)] = True
-        yield pd.DataFrame({"packed": [np.packbits(A).tobytes()]})
-
-    packed = np.zeros((M + 7) // 8, dtype=np.uint8)
-    for row in map_edges(edges, ("user", "item"), set_bits, "packed binary").collect():
-        packed |= np.frombuffer(row.packed, dtype=np.uint8)
-    U = M - int(_ONES_PER_BYTE[packed].sum(dtype=np.int64))
-    table = np.array([cse_estimate(M, m, z, U) for z in range(m + 1)])
-
-    def estimate(P: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        ones = (P[idx >> 3] >> (7 - (idx & 7)).astype(np.uint8)) & 1
-        return table[m - ones.sum(axis=1)]
-
-    return virtual_estimates_spark(edges, packed, M, m, seed, estimate)
+    """CSE on Spark: end-of-stream estimates ``(user, estimate)``; the
+    merged array is the OR of the tasks' bit arrays."""
+    return virtual_spark(edges, partial(CseSketch, M=M, m=m, seed=seed))

@@ -3,7 +3,6 @@ and the tracked-counter protocol all four baselines run (§V-B)."""
 from __future__ import annotations
 
 import math
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -51,6 +50,22 @@ def pow2_neg_table(cap: int) -> np.ndarray:
     return 2.0 ** -np.arange(cap + 1, dtype=np.float64)
 
 
+def bitmap_zeros(bits: np.ndarray) -> np.ndarray:
+    """Zero count of bool bitmaps, over the last axis."""
+    return bits.shape[-1] - bits.sum(axis=-1)
+
+
+# 2^-v for every uint8 register value
+_POW2 = np.ldexp(1.0, -np.arange(256))
+
+
+def register_stats(regs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Harmonic sum ``Σ_i 2^{-R[i]}`` and zero count of uint8 register
+    arrays, over the last axis. The sums add exact powers of two, so
+    they equal any other summation order."""
+    return _POW2[regs].sum(axis=-1), (regs == 0).sum(axis=-1)
+
+
 def user_series(estimates: dict[int, float]) -> pd.Series:
     """Per-user estimates as a float Series (index: user)."""
     return pd.Series(estimates, dtype=np.float64).rename_axis("user")
@@ -76,19 +91,14 @@ class TrackedCounters:
         users: np.ndarray,
         items: np.ndarray,
         checkpoints: list[int] | None = None,
-        enumerate_state: bool = False,
     ) -> dict[int, dict[int, float]]:
         """Stream all edges; return estimate snapshots at checkpoints.
 
         ``checkpoints`` are arrival indices t; a snapshot holds the
         tracked counters after edges ``0..t-1``. The final state is
-        always available via ``estimates``. ``enumerate_state`` (per-user
-        LPC/HLL only) makes each update rescan the user's sketch: the
-        O(m)-per-edge loop Fig. 3 times.
+        always available via ``estimates``. Every update re-reads the
+        arriving user's m cells: the O(m)-per-edge loop Fig. 3 times.
         """
-        update = self.update
-        if enumerate_state:
-            update = partial(update, enumerate_state=True)
         users = np.asarray(users, dtype=np.int64)
         cols = [users, *self._hashed(users, np.asarray(items, dtype=np.int64))]
         edges = zip(*(c.tolist() for c in cols))
@@ -96,11 +106,11 @@ class TrackedCounters:
         done = 0
         for cp in sorted(checkpoints or []):
             for edge in islice(edges, max(cp - done, 0)):
-                update(*edge)
+                self.update(*edge)
             done = max(done, cp)
             snaps[cp] = dict(self.estimates)
         for edge in edges:
-            update(*edge)
+            self.update(*edge)
         return snaps
 
     def final_estimates(self) -> pd.Series:

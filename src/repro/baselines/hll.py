@@ -8,17 +8,22 @@ correction. The paper's HLL++ baseline uses ``w = 6`` and
 our HLL++ is HLL with those parameters plus the small-range correction
 (the empirical bias tables of [23] are substituted away — DESIGN.md §5).
 
-The tracked-counter protocol maintains the harmonic sum and zero count
-incrementally (O(1) bookkeeping, same numbers); ``enumerate_state=True``
-recomputes both by scanning the registers — the O(m)-per-edge behaviour
-measured in Fig. 3.
+Each update refreshes the user's tracked counter with :func:`hll_readout`
+of its registers: the O(m)-per-edge read-out measured in Fig. 3. The
+streaming per-user query reads its registers the same way.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.estimators import TrackedCounters, hll_estimate, pow2_neg_table
+from repro.baselines.estimators import TrackedCounters, hll_estimate, register_stats
 from repro.hashing import h_item, rho_item
+
+
+def hll_readout(regs: np.ndarray) -> float:
+    """HLL estimate of one uint8 register array (``m = len(regs)``)."""
+    hsum, zeros = register_stats(regs)
+    return hll_estimate(len(regs), float(hsum), int(zeros))
 
 
 class HllPerUser(TrackedCounters):
@@ -29,36 +34,17 @@ class HllPerUser(TrackedCounters):
             raise ValueError("m must be >= 1")
         super().__init__()
         self.m = int(m)
-        self.w = int(w)
         self.cap = (1 << w) - 1
         self.seed = seed
-        self._pow2 = pow2_neg_table(self.cap)
         self.registers: dict[int, np.ndarray] = {}
-        self._hsum: dict[int, float] = {}
-        self._zeros: dict[int, int] = {}
 
-    def update(
-        self, s: int, idx: int, r: int, *, enumerate_state: bool = False
-    ) -> None:
+    def update(self, s: int, idx: int, r: int) -> None:
         """Process one pair whose item hashed to (register idx, rank r)."""
         regs = self.registers.get(s)
         if regs is None:
-            regs = np.zeros(self.m, dtype=np.uint8)
-            self.registers[s] = regs
-            self._hsum[s] = float(self.m)
-            self._zeros[s] = self.m
-        old = int(regs[idx])
-        if r > old:
-            self._hsum[s] += self._pow2[r] - self._pow2[old]
-            if old == 0:
-                self._zeros[s] -= 1
-            regs[idx] = r
-        if enumerate_state:
-            hsum = float(self._pow2[regs].sum())
-            zeros = int((regs == 0).sum())
-        else:
-            hsum, zeros = self._hsum[s], self._zeros[s]
-        self.estimates[s] = hll_estimate(self.m, hsum, zeros)
+            regs = self.registers[s] = np.zeros(self.m, dtype=np.uint8)
+        regs[idx] = max(regs[idx], r)
+        self.estimates[s] = hll_readout(regs)
 
     def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
         return [

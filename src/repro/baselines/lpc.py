@@ -7,16 +7,15 @@ Estimation range is ``[0, m ln m]`` — the range collapse the paper
 demonstrates in Fig. 4.
 
 In the paper's evaluation (§V-B) every user has ``m = M/|S|`` bits
-under a global memory budget of M bits. The tracked-counter protocol is
-implemented with an incrementally maintained zero count (same numbers);
-``enumerate_state=True`` recomputes the count by scanning the bitmap —
-the O(m)-per-edge behaviour the runtime experiment (Fig. 3) measures.
+under a global memory budget of M bits. Each update refreshes the
+user's tracked counter by counting the zeros of its bitmap: the
+O(m)-per-edge read-out the runtime experiment (Fig. 3) measures.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.estimators import TrackedCounters, linear_counting
+from repro.baselines.estimators import TrackedCounters, bitmap_zeros, linear_counting
 from repro.hashing import h_item
 
 
@@ -30,20 +29,14 @@ class LpcPerUser(TrackedCounters):
         self.m = int(m)
         self.seed = seed
         self.bitmaps: dict[int, np.ndarray] = {}
-        self._zeros: dict[int, int] = {}
 
-    def update(self, s: int, idx: int, *, enumerate_state: bool = False) -> None:
+    def update(self, s: int, idx: int) -> None:
         """Process one pair whose item already hashed to bit ``idx``."""
         bm = self.bitmaps.get(s)
         if bm is None:
-            bm = np.zeros(self.m, dtype=bool)
-            self.bitmaps[s] = bm
-            self._zeros[s] = self.m
-        if not bm[idx]:
-            bm[idx] = True
-            self._zeros[s] -= 1
-        zeros = int(self.m - bm.sum()) if enumerate_state else self._zeros[s]
-        self.estimates[s] = linear_counting(self.m, zeros)
+            bm = self.bitmaps[s] = np.zeros(self.m, dtype=bool)
+        bm[idx] = True
+        self.estimates[s] = linear_counting(self.m, bitmap_zeros(bm))
 
     def _hashed(self, users: np.ndarray, items: np.ndarray) -> list[np.ndarray]:
         return [h_item(items, self.m, seed=self.seed)]

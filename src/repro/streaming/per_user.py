@@ -22,7 +22,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.baselines.estimators import hll_estimate, pow2_neg_table
+from repro.baselines.hll import hll_readout
 from repro.hashing import h_item, rho_item
 from repro.spark_passes import edge_columns
 
@@ -38,7 +38,6 @@ def hllpp_stateful(
 ) -> DataFrame:
     """Streaming per-user HLL++: ``(user, estimate)`` per touched user."""
     cap = (1 << w) - 1
-    pow2 = pow2_neg_table(cap)
 
     def fn(
         key: Tuple, pdfs: Iterator[pd.DataFrame], state: GroupState
@@ -55,8 +54,7 @@ def hllpp_stateful(
             rho = rho_item(items, cap=cap, seed=seed).astype(np.uint8)
             np.maximum.at(regs, idx, rho)
         state.update((regs.tobytes(),))
-        est = hll_estimate(m, float(pow2[regs].sum()), int((regs == 0).sum()))
-        yield pd.DataFrame({"user": [user], "estimate": [est]})
+        yield pd.DataFrame({"user": [user], "estimate": [hll_readout(regs)]})
 
     return edges.groupBy("user").applyInPandasWithState(
         fn, _OUT_SCHEMA, _STATE_SCHEMA, OUTPUT_MODE, GroupStateTimeout.NoTimeout

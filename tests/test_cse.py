@@ -6,6 +6,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import CseSketch, cse_spark
+from repro.baselines.virtual import _BLOCK_CELLS
 
 
 def _stream(n_users, n_per_user, seed):
@@ -91,6 +92,32 @@ class TestCseSketch:
         assert snaps[0] == {}
         assert sum(snaps[200].values()) <= sum(snaps[len(users)].values()) + 1e-9
 
+    def test_end_state_estimates_blocked_equal_estimate(self):
+        # two full blocks of users and a partial third
+        m = 2048
+        users, items = _stream(2 * (_BLOCK_CELLS // m) + 7, 3, 5)
+        cse = CseSketch(M=1 << 16, m=m)
+        cse.run(users, items)
+        ids = np.unique(users)
+        got = cse.end_state_estimates(ids)
+        assert got.index.equals(pd.Index(ids, name="user"))
+        assert np.array_equal(got.to_numpy(), [cse.estimate(s) for s in ids])
+
+    def test_absorb_shuffled_equals_run(self):
+        # the order independence cse_spark's merged array rests on
+        users, items = _stream(40, 30, 6)
+        seq = CseSketch(M=1 << 14, m=256)
+        seq.run(users, items)
+        perm = np.random.default_rng(7).permutation(len(users))
+        one, half, other = (CseSketch(M=1 << 14, m=256) for _ in range(3))
+        one.absorb(users[perm], items[perm])
+        half.absorb(users[perm[::2]], items[perm[::2]])
+        other.absorb(users[perm[1::2]], items[perm[1::2]])
+        half.merge(other.A)
+        for sk in (one, half):
+            assert np.array_equal(sk.A, seq.A)
+            assert sk.U == seq.U
+
 
 class TestCseSpark:
     def test_end_state_matches_sequential(self, spark):
@@ -108,5 +135,5 @@ class TestCseSpark:
         cse = CseSketch(M=M, m=m)
         cse.run(users, items)
         want = cse.end_state_estimates(np.unique(users)).sort_index()
-        np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-12)
+        assert np.array_equal(got.to_numpy(), want.to_numpy())
         assert got.index.equals(want.index)

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.freebs import (
     estimates_from_trace,
+    freebs_absorb,
+    freebs_empty,
     freebs_sequential,
     freebs_trace,
 )
@@ -71,6 +73,22 @@ class TestAlgorithmProperties:
         users, items = _stream(10, 100_000, 20_000, 4)
         trace = freebs_trace(users, items, 64)
         assert len(trace) <= 64
+
+
+class TestSaturation:
+    """A full array: more distinct pairs are no events and change nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_full_array_absorbs_nothing(self, M):
+        t = np.arange(1000, dtype=np.int64)
+        fill = np.zeros(1000, dtype=np.int64)
+        _, (B, m0) = freebs_absorb(freebs_empty(M), t, fill, t)
+        assert m0 == 0 and B.all()
+        more = np.ones(1000, dtype=np.int64)  # pairs (1, d), none seen before
+        trace, (B, m0) = freebs_absorb((B, m0), t + 1000, more, t)
+        assert trace.empty
+        assert m0 == 0 and B.all()
 
 
 class TestStatistics:

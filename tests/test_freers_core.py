@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.freers import (
     estimates_from_trace,
+    freers_absorb,
+    freers_empty,
     freers_sequential,
     freers_trace,
 )
@@ -78,6 +80,23 @@ class TestAlgorithmProperties:
         users, items = _stream(30, 500, 4000, 1)
         trace = freers_trace(users, items, 512)
         assert (np.diff(trace["t"].to_numpy()) > 0).all()
+
+
+class TestSaturation:
+    """Every register at its cap: more distinct pairs are no records and
+    change nothing."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("M", range(1, 9))
+    def test_full_array_absorbs_nothing(self, M):
+        t = np.arange(1000, dtype=np.int64)
+        fill = np.zeros(1000, dtype=np.int64)
+        _, (R, S) = freers_absorb(freers_empty(M), t, fill, t, w=1)  # cap 1
+        assert (R == 1).all() and S == M / 2
+        more = np.ones(1000, dtype=np.int64)  # pairs (1, d), none seen before
+        trace, (R, S_after) = freers_absorb((R, S), t + 1000, more, t, w=1)
+        assert trace.empty
+        assert (R == 1).all() and S_after == S
 
 
 class TestStatistics:

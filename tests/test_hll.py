@@ -1,6 +1,5 @@
 """Tests for per-user HLL/HLL++ (repro.baselines.hll)."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.baselines import HllPerUser, alpha
@@ -78,14 +77,18 @@ class TestHllPerUser:
         h.run(users, items)
         assert h.final_estimates()[0] == pytest.approx(30, rel=0.35)
 
-    def test_enumerate_state_equals_incremental(self):
-        users = np.zeros(500, dtype=np.int64)
-        items = np.random.default_rng(3).integers(0, 1 << 50, 500)
-        a = HllPerUser(m=32)
-        a.run(users, items)
-        b = HllPerUser(m=32)
-        b.run(users, items, enumerate_state=True)
-        pd.testing.assert_series_equal(a.final_estimates(), b.final_estimates())
+    def test_tracked_estimate_reads_final_registers(self):
+        # a user's last arrival leaves its counter at its final registers
+        rng = np.random.default_rng(3)
+        users = rng.integers(0, 4, 800)
+        items = rng.integers(0, 1 << 50, 800)
+        h = HllPerUser(m=32)
+        h.run(users, items)
+        pow2 = pow2_neg_table(h.cap)
+        assert set(h.estimates) == set(h.registers)
+        for s, regs in h.registers.items():
+            hsum, zeros = float(pow2[regs].sum()), int((regs == 0).sum())
+            assert h.estimates[s] == hll_estimate(32, hsum, zeros)
 
     def test_users_isolated(self):
         users = np.concatenate(

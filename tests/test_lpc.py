@@ -2,7 +2,6 @@
 import math
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.baselines import LpcPerUser
@@ -68,13 +67,14 @@ class TestLpcPerUser:
         lpc.run(users, items)
         assert lpc.final_estimates()[1] == pytest.approx(5, rel=0.3)
 
-    def test_enumerate_state_equals_incremental(self):
+    def test_tracked_estimate_reads_final_bitmap(self):
+        # a user's last arrival leaves its counter at its final bitmap
         users, items = _stream(5, 50, 1)
-        a = LpcPerUser(m=128)
-        a.run(users, items)
-        b = LpcPerUser(m=128)
-        b.run(users, items, enumerate_state=True)
-        pd.testing.assert_series_equal(a.final_estimates(), b.final_estimates())
+        lpc = LpcPerUser(m=128)
+        lpc.run(users, items)
+        assert set(lpc.estimates) == set(lpc.bitmaps)
+        for s, bm in lpc.bitmaps.items():
+            assert lpc.estimates[s] == linear_counting(128, int(128 - bm.sum()))
 
     def test_checkpoints_snapshot_history(self):
         users, items = _stream(3, 100, 2)

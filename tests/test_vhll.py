@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.baselines import VhllSketch, vhll_spark
+from repro.baselines.virtual import _BLOCK_CELLS
 
 
 def _stream(n_users, n_per_user, seed):
@@ -84,6 +85,33 @@ class TestVhllSketch:
         assert snaps[0] == {}
         assert len(snaps[len(users)]) == 10
 
+    def test_end_state_estimates_blocked_equal_estimate(self):
+        # two full blocks of users and a partial third
+        m = 2048
+        users, items = _stream(2 * (_BLOCK_CELLS // m) + 7, 3, 5)
+        vh = VhllSketch(M=1 << 14, m=m)
+        vh.run(users, items)
+        ids = np.unique(users)
+        got = vh.end_state_estimates(ids)
+        assert got.index.equals(pd.Index(ids, name="user"))
+        assert np.array_equal(got.to_numpy(), [vh.estimate(s) for s in ids])
+
+    def test_absorb_shuffled_equals_run(self):
+        # the order independence vhll_spark's merged array rests on
+        users, items = _stream(40, 30, 6)
+        seq = VhllSketch(M=1 << 12, m=128)
+        seq.run(users, items)
+        perm = np.random.default_rng(7).permutation(len(users))
+        one, half, other = (VhllSketch(M=1 << 12, m=128) for _ in range(3))
+        one.absorb(users[perm], items[perm])
+        half.absorb(users[perm[::2]], items[perm[::2]])
+        other.absorb(users[perm[1::2]], items[perm[1::2]])
+        half.merge(other.R)
+        for sk in (one, half):
+            assert np.array_equal(sk.R, seq.R)
+            assert sk.global_hsum == seq.global_hsum
+            assert sk.global_zeros == seq.global_zeros
+
 
 class TestVhllSpark:
     def test_end_state_matches_sequential(self, spark):
@@ -101,5 +129,5 @@ class TestVhllSpark:
         vh = VhllSketch(M=M, m=m)
         vh.run(users, items)
         want = vh.end_state_estimates(np.unique(users)).sort_index()
-        np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-12)
+        assert np.array_equal(got.to_numpy(), want.to_numpy())
         assert got.index.equals(want.index)
