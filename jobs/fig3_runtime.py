@@ -5,19 +5,24 @@ process one element *and refresh the arriving user's counter*, sweeping
 the per-user (virtual) sketch size m. FreeBS/FreeRS are O(1) — flat in
 m; CSE, vHLL, LPC, HLL++ enumerate m bits/registers per estimate —
 linear in m. All six run in the same sequential Python harness, so the
-relative shape (not absolute ns) is the reproduced quantity.
+relative shape (not absolute ns) is the reproduced quantity. Each
+(method, m) cell is timed once in each of ``ROUNDS`` interleaved
+rounds and reported as its median; in each round, every method is
+warmed up by one untimed call before its cells.
 
 Run: ``python jobs/fig3_runtime.py [--edges N] [--ms 128,512,...]``
 """
 import argparse
 import sys
 
+import numpy as np
 import pandas as pd
 
 from repro.analysis.harness import ALL_METHODS, measure_update_ns
 from repro.datasets import CATALOG, generate_stream
 
 DEFAULT_MS = (128, 512, 2048, 4096)
+ROUNDS = 3  # timed calls per cell; 3 keep the gate at 45-55 s on 4 cores
 # the O(1) and the O(m) per-edge methods
 FREE, LINEAR = ["freebs", "freers"], ["cse", "vhll", "lpc", "hllpp"]
 
@@ -32,17 +37,25 @@ def fig3(
     stream = generate_stream(CATALOG[dataset], seed=seed).head(n_edges)
     users = stream["user"].to_numpy()
     items = stream["item"].to_numpy()
-    rows = []
-    # one method's cells run back to back, so a slowdown of the host
-    # between them cannot pass for growth in m
-    for method in methods:
-        for m in ms:
-            # warm up interpreter/numpy paths (the recorded quantity is
-            # steady-state ns/edge)
-            measure_update_ns(method, users[:2000], items[:2000], m=m, seed=seed)
-            ns = measure_update_ns(method, users, items, m=m, seed=seed)
-            rows.append({"m": m, "method": method, "ns_per_edge": ns})
-    return pd.DataFrame(rows)
+    ns = {(method, m): [] for method in methods for m in ms}
+    # every round times every cell, so a slowdown of the host hits all
+    # cells alike and cannot pass for growth in m; the median per cell
+    # drops a round that was slow for one cell alone
+    for _ in range(ROUNDS):
+        for method in methods:
+            # a method's first call after another method's is ~1.7x slower
+            # (FreeBS on this harness); one untimed call on the same edges,
+            # allocating as the timed ones do, absorbs it (the recorded
+            # quantity is steady-state ns/edge)
+            measure_update_ns(method, users, items, m=ms[0], seed=seed)
+            for m in ms:
+                ns[method, m].append(measure_update_ns(method, users, items, m=m, seed=seed))
+    return pd.DataFrame(
+        [
+            {"m": m, "method": method, "ns_per_edge": float(np.median(v))}
+            for (method, m), v in ns.items()
+        ]
+    )
 
 
 def _pivot(df: pd.DataFrame) -> pd.DataFrame:

@@ -86,6 +86,35 @@ def detection_metrics(
     }
 
 
+def _totals_before(
+    rows: pd.DataFrame, checkpoints: list[int], value: str | None, name: str
+) -> dict[int, pd.Series]:
+    """Per-user totals of column ``value`` (row counts when ``None``)
+    over the ``t``-sorted ``rows`` with ``t < T``, per checkpoint T.
+
+    Users are factorized once, coded by first appearance, so the users
+    of a prefix are the codes below the length of its ``bincount``.
+    Each Series, named ``name``, lists them in user order with the
+    index named ``user``, as ``groupby("user")`` does.
+    """
+    ends = np.searchsorted(rows["t"].to_numpy(), checkpoints)
+    codes, uniques = pd.factorize(rows["user"].to_numpy())
+    by_user = np.argsort(uniques)  # codes in user order
+    weights = None if value is None else rows[value].to_numpy()
+    dtype = np.int64 if weights is None else weights.dtype
+    out = {}
+    for cp, k in zip(checkpoints, ends):
+        totals = np.bincount(codes[:k], None if weights is None else weights[:k])
+        sel = by_user[by_user < len(totals)]
+        index = pd.Index(uniques[sel], name="user")
+        out[cp] = pd.Series(totals[sel], index=index, name=name, dtype=dtype)
+    return out
+
+
+def _by_t(rows: pd.DataFrame) -> pd.DataFrame:
+    return rows.iloc[np.argsort(rows["t"].to_numpy(), kind="stable")]
+
+
 def estimates_at_checkpoints(
     trace: pd.DataFrame, checkpoints: list[int]
 ) -> dict[int, pd.Series]:
@@ -94,22 +123,25 @@ def estimates_at_checkpoints(
     A Free* trace holds one row per accepted event ``(t, user,
     contrib)``; the estimate of a user at checkpoint T is the sum of its
     contributions with ``t < T`` (edge T not yet processed — matching
-    the snapshot convention of the sequential baselines).
+    the snapshot convention of the sequential baselines). One pass: the
+    rows are put in ``t`` order once, and each checkpoint sums a prefix
+    with ``bincount``. Each value is a float64 Series named
+    ``contrib``, indexed by ``user`` in user order; users with no
+    event before T are absent (empty at T = 0).
     """
-    out: dict[int, pd.Series] = {}
-    trace = trace.sort_values("t")
-    for cp in checkpoints:
-        pre = trace[trace["t"] < cp]
-        out[cp] = pre.groupby("user")["contrib"].sum()
-    return out
+    return _totals_before(_by_t(trace), checkpoints, "contrib", "contrib")
 
 
 def truth_at_checkpoints(
     stream: pd.DataFrame, checkpoints: list[int]
 ) -> dict[int, pd.Series]:
-    """Exact per-user cardinalities among the first t edges, per checkpoint."""
-    out: dict[int, pd.Series] = {}
-    for cp in checkpoints:
-        pre = stream[stream["t"] < cp]
-        out[cp] = pre.groupby("user")["item"].nunique()
-    return out
+    """Exact per-user cardinalities among the edges with ``t < T``, per
+    checkpoint T.
+
+    One pass: the first arrival of each ``(user, item)`` pair is marked
+    once, and each checkpoint counts a prefix of those arrivals per user
+    (int64 Series named ``item``, indexed by ``user``).
+    """
+    stream = _by_t(stream)
+    first = stream[~stream.duplicated(["user", "item"])]
+    return _totals_before(first, checkpoints, None, "item")

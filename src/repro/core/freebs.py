@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.hashing import h_star
+from repro.hashing import by_slot, h_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
     absorb_passes,
     edge_column,
@@ -91,18 +91,26 @@ def freebs_absorb(
 
     ``B`` is the bool bit array (``M = len(B)``, updated in place) and
     ``m0`` its zero count; a zero bit flips at the earliest arrival
-    hashing to it. Returns the flips' trace ``(t, user, contrib)`` and
-    the new state; chunks absorbed in turn give the one-shot trace.
+    hashing to it, the head of the bit's run in
+    :func:`~repro.hashing.by_slot`'s order; a mask scattered by arrival
+    index lists the flips in arrival order. Returns the flips' trace
+    ``(t, user, contrib)`` and the new state; chunks absorbed in turn
+    give the one-shot trace.
     """
     B, m0 = state
     M = len(B)
-    bits = h_star(users, items, M, seed=seed)
-    # earliest arrival per distinct bit; unique bits come sorted, so B is
-    # read and written in address order
-    ubits, first = np.unique(bits, return_index=True)
-    ev = first[~B[ubits]]
-    ev.sort()  # flips in arrival order
-    B[ubits] = True
+    bit, arrival = by_slot(h_star(users, items, M, seed=seed))
+    # the head of each bit's run is its earliest arrival; bits come
+    # sorted, so B is read and written in address order
+    head = np.empty(len(bit), dtype=bool)
+    head[:1] = True
+    np.not_equal(bit[1:], bit[:-1], out=head[1:])
+    bit, arrival = bit[head], arrival[head]
+    flip = np.zeros(len(head), dtype=bool)  # in arrival order
+    flip[arrival[~B[bit]]] = True
+    B[bit] = True
+    del bit, arrival, head
+    ev = np.flatnonzero(flip)
     trace = pd.DataFrame(
         {"t": t[ev], "user": users[ev], "contrib": flip_contrib(len(ev), M, m0)}
     )

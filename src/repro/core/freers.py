@@ -31,7 +31,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.hashing import h_star, rho_star
+from repro.hashing import by_slot, h_star, rho_star
 from repro.spark_passes import (  # estimates_from_trace: re-exported
     absorb_passes,
     edge_column,
@@ -103,34 +103,45 @@ def freers_absorb(
     ``R`` is the uint8 register array (``M = len(R)``, updated in place)
     and ``S = Σ_j 2^-R[j]``. An edge is a record when its rank beats the
     running max of its register, seeded with the register's value. The
-    running maxima use the segmented-cummax trick (offset each
-    register's ranks by ``segment * 64`` -- ranks are < 64 -- take one
-    global ``maximum.accumulate`` over the register-sorted order,
-    subtract the offset back). Returns the records' trace
-    ``(t, user, contrib)`` and the new state; chunks absorbed in turn
-    give the one-shot trace (bit for bit while M < 2^22, DESIGN.md §2).
+    edges are put in register order, arrival order within a register, by
+    :func:`~repro.hashing.by_slot`'s one packed-key sort. The running
+    maxima use the segmented-cummax trick over that order (put each
+    register's segment number above its ranks' 6 bits -- ranks are < 64
+    -- take one global ``maximum.accumulate``, keep the low 6 bits). The
+    record mask and each edge's previous value (uint8) go back to
+    arrival order by one scatter each, so no second sort orders the
+    records. Returns the records' trace ``(t, user, contrib)`` and the
+    new state; chunks absorbed in turn give the one-shot trace (bit for
+    bit while M < 2^22, DESIGN.md §2).
     """
     R, S = state
     M = len(R)
-    regs = h_star(users, items, M, seed=seed)
-    rhos = rho_star(users, items, cap=(1 << w) - 1, seed=seed)
-
-    order = np.argsort(regs, kind="stable")  # by register, arrival order kept
-    reg_s, rho_s = regs[order], rhos[order]
-    start = np.ones(len(reg_s), dtype=bool)
-    start[1:] = reg_s[1:] != reg_s[:-1]
-    offset = (np.cumsum(start) - 1) * 64
-    cummax = np.maximum.accumulate(offset + rho_s) - offset
-    prev = np.empty_like(cummax)
-    prev[1:] = cummax[:-1]
+    n = len(t)
+    rhos = rho_star(users, items, cap=(1 << w) - 1, seed=seed).astype(np.uint8)
+    reg, arrival = by_slot(h_star(users, items, M, seed=seed))
+    rho = rhos[arrival]
+    start = np.empty(n, dtype=bool)
+    start[:1] = True
+    np.not_equal(reg[1:], reg[:-1], out=start[1:])
+    run = np.cumsum(start)  # 1 + the register's segment number
+    run <<= 6  # above every rank (ranks are < 64)
+    run |= rho
+    np.maximum.accumulate(run, out=run)
+    run &= 63  # the running max within the segment
+    prev = np.empty(n, dtype=np.uint8)
+    prev[1:] = run[:-1]
     prev[start] = 0
-    np.maximum(prev, R[reg_s], out=prev)  # seeded with the value before the chunk
-
-    rec = np.flatnonzero(rho_s > prev)
-    rec = rec[np.argsort(order[rec], kind="stable")]  # records in arrival order
-    rho, prev = rho_s[rec], prev[rec]
-    np.maximum.at(R, reg_s[rec], rho.astype(np.uint8))
-    idx = order[rec]
+    np.maximum(prev, R[reg], out=prev)  # seeded with the value before the chunk
+    rec = rho > prev
+    np.maximum.at(R, reg[rec], rho[rec])
+    # the record mask and prev back to arrival order, one scatter each
+    rec_a = np.empty_like(rec)
+    rec_a[arrival] = rec
+    prev_a = np.empty_like(prev)
+    prev_a[arrival] = prev
+    del reg, arrival, start, run, rho, prev, rec  # the register-order arrays
+    idx = np.flatnonzero(rec_a)
+    rho, prev = rhos[idx], prev_a[idx]
     trace = pd.DataFrame(
         {"t": t[idx], "user": users[idx], "contrib": record_contrib(rho, prev, M, S)}
     )

@@ -116,3 +116,26 @@ def f_user(user, i, M: int, seed: int = 0) -> np.ndarray:
     return (
         hash_pair(user, i, seed=seed ^ int(_ROLE_F_USER)) % np.uint64(M)
     ).astype(np.int64)
+
+
+def by_slot(slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hashed slots sorted, ties in arrival order, by one in-place sort.
+
+    Packs each key as ``slot << b | i`` (``i`` the arrival index, ``b``
+    the bit length of ``n-1``) and sorts the packed keys with a plain
+    ``ndarray.sort``: the keys are unique, so an unstable sort is exact
+    and no indirect (arg)sort is needed. ``slots`` (int64, non-negative)
+    is consumed: its buffer holds the keys and then the sorted slots.
+    Returns ``(sorted slots, arrival index)``; ``ValueError`` when a key
+    would not fit 63 bits.
+    """
+    n = len(slots)
+    b = max(n - 1, 0).bit_length()
+    if n and int(slots.max()).bit_length() + b > 63:
+        raise ValueError(f"slot {int(slots.max())} and {n} arrivals overflow a 63-bit key")
+    keys = np.left_shift(slots, b, out=slots)
+    keys |= np.arange(n)
+    keys.sort()
+    index = keys & ((1 << b) - 1)
+    keys >>= b
+    return keys, index

@@ -132,3 +132,20 @@ class TestFUser:
         assert out[0] == H.f_user(np.int64(5), np.array([0]), 1 << 20)[0]
         assert out[1] == H.f_user(np.int64(5), np.array([1]), 1 << 20)[0]
         assert out[2] == H.f_user(np.int64(6), np.array([0]), 1 << 20)[0]
+
+
+class TestBySlot:
+    def test_sorts_slots_with_ties_in_arrival_order(self):
+        slots = np.random.default_rng(0).integers(0, 50, 1000)
+        order = np.argsort(slots, kind="stable")
+        got_slots, arrival = H.by_slot(slots.copy())
+        assert np.array_equal(arrival, order)
+        assert np.array_equal(got_slots, slots[order])
+
+    def test_packed_key_overflow_raises(self):
+        # 3 arrivals take 2 index bits: a 61-bit slot fits 63 bits, a
+        # 62-bit slot does not
+        fits = np.full(3, (1 << 61) - 1, dtype=np.int64)
+        assert np.array_equal(H.by_slot(fits)[1], [0, 1, 2])
+        with pytest.raises(ValueError, match="63-bit"):
+            H.by_slot(np.full(3, (1 << 62) - 5, dtype=np.int64))

@@ -113,3 +113,44 @@ class TestCheckpoints:
         for cp in cps:
             manual = trace[trace["t"] < cp].groupby("user")["contrib"].sum()
             pd.testing.assert_series_equal(snaps[cp], manual)
+
+
+class TestOnePassCheckpoints:
+    """The one-pass reads equal a filter and regroup per checkpoint."""
+
+    CPS = [700, 0, 250, 250, 10**9, 1]  # unsorted, repeated, 0, past the end
+
+    @staticmethod
+    def _stream(n=3000):
+        rng = np.random.default_rng(5)
+        return pd.DataFrame(
+            {"t": np.arange(n), "user": rng.integers(0, 40, n), "item": rng.integers(0, 60, n)}
+        )
+
+    def test_estimates_on_shuffled_trace(self):
+        from repro.core.freers import freers_trace
+
+        stream = self._stream()
+        trace = freers_trace(stream["user"], stream["item"], 256)
+        trace = trace.sample(frac=1.0, random_state=3)  # rows out of t order
+        snaps = estimates_at_checkpoints(trace, self.CPS)
+        assert set(snaps) == set(self.CPS)
+        assert snaps[0].empty
+        for cp in self.CPS:
+            want = trace[trace["t"] < cp].groupby("user")["contrib"].sum()
+            got = snaps[cp]
+            assert got.name == "contrib" and got.index.name == "user"
+            assert got.dtype == np.float64
+            assert got.index.equals(want.index)
+            np.testing.assert_allclose(got.to_numpy(), want.to_numpy(), rtol=1e-12)
+
+    def test_truth_equals_nunique_per_checkpoint(self):
+        stream = self._stream().sample(frac=1.0, random_state=4)
+        snaps = truth_at_checkpoints(stream, self.CPS)
+        assert set(snaps) == set(self.CPS)
+        for cp in self.CPS:
+            want = stream[stream["t"] < cp].groupby("user")["item"].nunique()
+            got = snaps[cp]
+            assert got.equals(want)
+            assert got.name == want.name == "item"
+            assert got.index.name == "user" and got.dtype == want.dtype

@@ -119,6 +119,24 @@ FRESH = {
 }
 
 
+SEQUENTIAL = {"freebs": freebs_sequential, "freers": freers_sequential}
+
+
+@pytest.mark.parametrize("estimator", FRESH)
+@pytest.mark.parametrize("M", [1, 7, 1 << 20])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 9, 16, 17])
+def test_trace_equals_sequential_at_index_width_boundaries(estimator, M, n):
+    """The packed sort key spends bit_length(n-1) bits on the arrival
+    index: streams on both sides of each width, with every edge in one
+    slot (M = 1), a few slots (M = 7) and almost no collisions."""
+    _, trace, _ = FRESH[estimator]
+    rng = np.random.default_rng(n)
+    u, i = rng.integers(0, 3, n), rng.integers(0, 4, n)
+    pd.testing.assert_frame_equal(
+        trace(u, i, M, seed=n), SEQUENTIAL[estimator](u, i, M, seed=n), check_exact=True
+    )
+
+
 @pytest.mark.parametrize("estimator", FRESH)
 @settings(max_examples=60, deadline=None)
 @given(adversarial_streams, st.lists(st.integers(0, 400), max_size=6))
