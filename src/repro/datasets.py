@@ -144,9 +144,7 @@ CATALOG: dict[str, DatasetSpec] = {
 }
 
 
-def _distinct_pairs(
-    cards: np.ndarray, item_universe: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_pairs(cards: np.ndarray, item_universe: int, seed: int) -> np.ndarray:
     """Distinct (user, item) pairs with ~``cards[s]`` items per user.
 
     Items are drawn pseudo-randomly (via :func:`hash_pair`) from a
@@ -154,21 +152,20 @@ def _distinct_pairs(
     the real graphs. Within-user collisions are dropped rather than
     re-drawn (a few per mille at the chosen universe size) — ground
     truth is recomputed from the emitted pairs, so this costs nothing.
+    Each pair is packed as one int64 key ``user * item_universe + item``
+    and returned sorted (by user, then item); ``ValueError`` when
+    ``len(cards) * item_universe`` does not fit 63 bits.
     """
-    users = np.repeat(np.arange(len(cards), dtype=np.int64), cards)
-    # per-user draw index 0..n_s-1
-    draw = np.arange(len(users), dtype=np.int64) - np.repeat(
-        np.concatenate(([0], np.cumsum(cards)[:-1])), cards
-    )
-    items = (hash_pair(users, draw, seed=seed) % np.uint64(item_universe)).astype(
-        np.int64
-    )
-    # drop within-user duplicate items
-    order = np.lexsort((items, users))
-    u_s, i_s = users[order], items[order]
-    dup = np.zeros(len(u_s), dtype=bool)
-    dup[1:] = (u_s[1:] == u_s[:-1]) & (i_s[1:] == i_s[:-1])
-    return u_s[~dup], i_s[~dup]
+    if (len(cards) * item_universe).bit_length() > 63:
+        raise ValueError(f"{len(cards)} users x {item_universe} items overflow a 63-bit key")
+    keys = np.repeat(np.arange(len(cards), dtype=np.int64), cards)  # users, packed below
+    draw = np.arange(len(keys), dtype=np.int64)  # per-user draw index 0..n_s-1
+    draw -= np.repeat(np.concatenate(([0], np.cumsum(cards)[:-1])), cards)
+    items = hash_pair(keys, draw, seed=seed) % np.uint64(item_universe)
+    keys *= item_universe
+    keys += items.view(np.int64)
+    keys.sort()  # then drop within-user duplicate items: keep each run's head
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
 def generate_stream(
@@ -180,28 +177,30 @@ def generate_stream(
     distinct pair at least once plus ``(dup_factor - 1)`` extra
     duplicate occurrences drawn uniformly, all in one global random
     shuffle — matching the unsorted-with-repeats arrival pattern of the
-    paper's traces.
+    paper's traces. The frame is one ``(3, n)`` int64 block filled in
+    place: its ``item`` row stages the packed keys, so the only other
+    n-sized buffer alive with it is the shuffle permutation.
     """
     # zlib.crc32 is stable across processes (str hash is randomized)
     rng = np.random.default_rng(seed ^ zlib.crc32(spec.name.encode()))
-    cards = spec.cardinalities
     # universe >> max_card keeps within-user collision loss ~1-2% while
     # still letting popular items recur across users
     universe = max(10, 20 * spec.max_card)
-    users, items = _distinct_pairs(cards, universe, seed=seed)
-    n_pairs = len(users)
+    keys = _distinct_pairs(spec.cardinalities, universe, seed=seed)
+    n_pairs = len(keys)
     n_dup = int(round((spec.dup_factor - 1.0) * n_pairs))
     dup_idx = rng.integers(0, n_pairs, n_dup)
-    all_u = np.concatenate([users, users[dup_idx]])
-    all_i = np.concatenate([items, items[dup_idx]])
-    perm = rng.permutation(len(all_u))
-    return pd.DataFrame(
-        {
-            "t": np.arange(len(all_u), dtype=np.int64),
-            "user": all_u[perm],
-            "item": all_i[perm],
-        }
-    )
+    block = np.empty((3, n_pairs + n_dup), dtype=np.int64)
+    t, user, item = block
+    # every index is in range by construction; mode="clip" spares the
+    # n-sized output buffer that np.take's default mode="raise" makes
+    item[:n_pairs] = keys
+    np.take(keys, dup_idx, out=item[n_pairs:], mode="clip")
+    del keys, dup_idx
+    np.take(item, rng.permutation(len(t)), out=user, mode="clip")
+    np.divmod(user, universe, out=(user, item))
+    t[:] = np.arange(len(t))
+    return pd.DataFrame(block.T, columns=["t", "user", "item"], copy=False)
 
 
 def true_cardinalities(stream: pd.DataFrame) -> pd.Series:

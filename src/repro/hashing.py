@@ -42,8 +42,15 @@ _C3 = np.uint64(0x94D049BB133111EB)
 
 
 def _u64(x) -> np.ndarray:
-    """Coerce ints / int arrays to uint64 with two's-complement wrap."""
-    return np.asarray(x).astype(np.int64, copy=False).astype(np.uint64)
+    """Coerce ints / int arrays to uint64 with two's-complement wrap.
+
+    uint64 input comes back as it is and int64 input as a uint64 view,
+    both without a copy; callers must not write to the result.
+    """
+    x = np.asarray(x)
+    if x.dtype == np.uint64:
+        return x
+    return x.astype(np.int64, copy=False).view(np.uint64)
 
 
 def mix64(z: np.ndarray) -> np.ndarray:

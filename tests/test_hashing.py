@@ -149,3 +149,35 @@ class TestBySlot:
         assert np.array_equal(H.by_slot(fits)[1], [0, 1, 2])
         with pytest.raises(ValueError, match="63-bit"):
             H.by_slot(np.full(3, (1 << 62) - 5, dtype=np.int64))
+
+
+def _two_casts(x):
+    """The coercion ``_u64`` replaced: copies int64 input twice."""
+    return np.asarray(x).astype(np.int64, copy=False).astype(np.uint64)
+
+
+class TestU64:
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint64])
+    def test_64_bit_input_is_not_copied(self, dtype):
+        x = np.arange(10, dtype=dtype)
+        assert np.shares_memory(H._u64(x), x)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([-1, -(1 << 63), 0, (1 << 63) - 1]),
+            np.array([(1 << 64) - 1, 0], dtype=np.uint64),
+            np.array([-3, 7], dtype=np.int32),
+            np.array(-5),
+            np.array((1 << 64) - 1, dtype=np.uint64),
+            np.uint64(3),
+            -1,
+            0,
+            12345,
+            (1 << 64) - 1,
+        ],
+    )
+    def test_values_match_two_casts(self, x):
+        got, want = H._u64(x), _two_casts(x)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert np.array_equal(got, want)
